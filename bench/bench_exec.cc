@@ -1,14 +1,12 @@
-// B16 — batch-at-a-time execution vs the tuple-at-a-time plan-driven
-// path (EXPERIMENTS.md §B16). The workloads are the near-quadratic B14
+// B16 — batch-at-a-time execution, serial and fanned out
+// (EXPERIMENTS.md §B16). The workloads are the near-quadratic B14
 // joins the planner CANNOT hash-join (`=all` is not hash-joinable;
 // ordered var-var comparisons aren't either), so the conjunct driver
-// runs the nested loop in both modes and the measurement isolates what
-// batching buys: FROM candidate arrays materialized once per slot and
-// cached across re-entries (the tuple path re-copies the deep extent
-// on every inner-loop entry), plus per-batch prefilters over a
-// selection vector. The parallel variants fan the outer extent across
-// a worker pool — on a multi-core host they add on top of the batch
-// win; on a single-core host they measure fork/join overhead honestly.
+// runs the nested loop over FROM candidate arrays materialized once
+// per slot, with per-batch prefilters over a selection vector. The
+// parallel variant fans the outer extent across a worker pool — on a
+// multi-core host it adds on top of the serial driver; on a
+// single-core host it measures fork/join overhead honestly.
 //
 // ci.sh runs this binary with --benchmark_format=json and publishes
 // the result as BENCH_exec.json.
@@ -29,7 +27,7 @@ namespace {
 // The two B16 workloads (B14 join shapes, scale-quadratic probe count,
 // near-empty answers so output cost never masks the scan cost).
 //  W0: the B14 `=all` self-join verbatim — the planner refuses to
-//      hash-join it (vacuous truth on empty sides), so both modes run
+//      hash-join it (vacuous truth on empty sides), so every run makes
 //      |Employee|^2 probes.
 //  W1: ordered cross-class comparison — salaries (10k..90k) never
 //      equal ages, so the |Employee|x|Person| loop scans to an empty
@@ -40,12 +38,11 @@ const char* kWorkloads[] = {
 };
 
 /// Sessions per (scale, mode); shared across iterations so the plan
-/// cache serves every iteration after the first in ALL modes and the
+/// cache serves every iteration after the first in both modes and the
 /// measurement is evaluation, not preparation.
 struct ExecSessions {
   std::unique_ptr<WorkerPool> pool;
-  std::unique_ptr<Session> tuple;     // planner on, exec_batch off
-  std::unique_ptr<Session> batch;     // planner on, exec_batch on
+  std::unique_ptr<Session> batch;     // planner on, serial
   std::unique_ptr<Session> parallel;  // batch + worker fan-out
 };
 
@@ -56,10 +53,6 @@ ExecSessions& GetExecSessions(size_t scale) {
   if (it == cache.end()) {
     ScaledDb& scaled = GetScaledDb(scale);
     ExecSessions entry;
-    SessionOptions tuple_options;
-    tuple_options.exec_batch = false;
-    entry.tuple =
-        std::make_unique<Session>(scaled.db.get(), tuple_options);
     entry.batch = std::make_unique<Session>(scaled.db.get());
     entry.pool = std::make_unique<WorkerPool>(3);
     SessionOptions parallel_options;
@@ -88,12 +81,6 @@ void RunWorkload(benchmark::State& state, Session* session,
 }
 
 // Args: {workload index, scale factor}.
-void BM_TupleAtATime(benchmark::State& state) {
-  ExecSessions& sessions =
-      GetExecSessions(static_cast<size_t>(state.range(1)));
-  RunWorkload(state, sessions.tuple.get(), kWorkloads[state.range(0)]);
-}
-
 void BM_BatchSerial(benchmark::State& state) {
   ExecSessions& sessions =
       GetExecSessions(static_cast<size_t>(state.range(1)));
@@ -110,7 +97,6 @@ void BM_BatchParallel(benchmark::State& state) {
   ->Args({0, 1})->Args({0, 8})->Args({1, 1})->Args({1, 8})    \
       ->Unit(benchmark::kMillisecond)
 
-BENCHMARK(BM_TupleAtATime) B16_ARGS;
 BENCHMARK(BM_BatchSerial) B16_ARGS;
 BENCHMARK(BM_BatchParallel) B16_ARGS;
 

@@ -68,10 +68,11 @@ run_suite() {
   echo "==> mvcc suite ($dir)"
   ctest --test-dir "$dir" -L mvcc --output-on-failure
   # The batch/parallel execution suite again, serially and by label:
-  # the differential matrix (naive == tuple == batch == parallel across
-  # seeds and worker counts) is the correctness gate for the vectorized
-  # driver, and the suite owns worker pools + asserts on global metrics
-  # deltas, so it runs without test-level parallelism in the mix.
+  # the differential matrix (naive == planner-off == planned serial ==
+  # parallel across seeds and worker counts) is the correctness gate for
+  # the one FROM driver, and the suite owns worker pools + asserts on
+  # global metrics deltas, so it runs without test-level parallelism in
+  # the mix.
   echo "==> exec suite ($dir)"
   ctest --test-dir "$dir" -L exec --output-on-failure
   # Dump the metrics of a representative workload as a build artifact
@@ -136,9 +137,9 @@ server_smoke() {
 if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   echo "==> plain build + tests"
   run_suite build
-  # B16 as a machine-readable artifact (build/BENCH_exec.json): the
-  # tuple-vs-batch-vs-parallel ratios on the near-quadratic join
-  # workloads, diffable across commits. Bounded min-time keeps it a
+  # B16 as a machine-readable artifact (build/BENCH_exec.json): serial
+  # vs parallel batch execution on the near-quadratic join workloads,
+  # diffable across commits. Bounded min-time keeps it a
   # smoke measurement; EXPERIMENTS.md records the full runs.
   echo "==> exec benchmark artifact (build/BENCH_exec.json)"
   ./build/bench/bench_exec --benchmark_min_time=0.05 \

@@ -93,6 +93,40 @@ const PathExpr* FirstOpenPath(const ValueExpr& expr, const Binding& binding) {
   return nullptr;
 }
 
+/// The FROM candidates of `var` over class `cls`, in extent order: the
+/// extent minus the oids Theorem 6.1(2) range pruning rules out, cut to
+/// a parallel worker's partition when it restricts `var`. Charges one
+/// step per oid examined, so long scans still poll the deadline and the
+/// cancel token. Every FROM scan (generator, hash-join sides, the
+/// parallel outer split) builds its candidates here.
+Result<std::vector<Oid>> FromCandidates(const Database& db,
+                                        ExecutionContext* ctx,
+                                        const EvalOptions& opts,
+                                        const Oid& cls, const Variable& var) {
+  const VarRange* range = nullptr;
+  if (opts.use_range_pruning && opts.ranges != nullptr) {
+    auto it = opts.ranges->find(var);
+    if (it != opts.ranges->end()) range = &it->second;
+  }
+  // A parallel worker scans only its slice. The slice was cut from the
+  // planned entry's extent; the same variable may be FROM-declared under
+  // another class too, so membership in `cls` is re-checked.
+  const bool sliced = opts.partition != nullptr && opts.partition->var == var;
+  std::vector<Oid> out;
+  auto scan = [&](const auto& oids) -> Status {
+    for (const Oid& oid : oids) {
+      XSQL_RETURN_IF_ERROR(ctx->Step());
+      if (sliced && !db.IsInstanceOf(oid, cls)) continue;
+      if (range != nullptr && !range->Within(db, oid)) continue;
+      out.push_back(oid);
+    }
+    return Status::OK();
+  };
+  XSQL_RETURN_IF_ERROR(sliced ? scan(*opts.partition->ordered)
+                              : scan(db.Extent(cls)));
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -167,20 +201,16 @@ class ConjunctDriver {
       from_used_[pick.rhs_from] = false;
       return st;
     }
-    auto continue_step = [&]() -> Status {
-      return Step(used_count + 1, binding, done);
-    };
     if (pick.kind == PickResult::Kind::kFrom) {
-      if (BatchableFrom(pick.index, *binding)) {
-        return StepBatchedFrom(pick.index, used_count, binding, done);
-      }
       from_used_[pick.index] = true;
-      Status st = EvalFromEntry(*froms_[pick.index], binding, continue_step);
+      Status st = StepFrom(pick.index, used_count, binding, done);
       from_used_[pick.index] = false;
       return st;
     }
     used_[pick.index] = true;
-    Status st = EvalConjunct(conjuncts_[pick.index], binding, continue_step);
+    Status st = EvalConjunct(conjuncts_[pick.index], binding, [&]() {
+      return Step(used_count + 1, binding, done);
+    });
     used_[pick.index] = false;
     return st;
   }
@@ -194,6 +224,11 @@ class ConjunctDriver {
 
   PickResult Pick(const Binding& binding) const {
     if (!fixed_order_.empty()) {
+      // Explicit order (plan experiments): the FROM entries run first,
+      // in declaration order, then the conjuncts exactly as fixed.
+      for (size_t j = 0; j < froms_.size(); ++j) {
+        if (!from_used_[j]) return PickFrom(j);
+      }
       for (size_t i : fixed_order_) {
         if (!used_[i]) return PickConjunct(i);
       }
@@ -329,70 +364,49 @@ class ConjunctDriver {
     return false;
   }
 
-  Status EvalFromEntry(const FromEntry& entry, Binding* binding,
-                       const std::function<Status()>& next) {
-    obs::Span span("from", [&] { return entry.ToString(); });
-    Database* db = ev_->db();
-    const EvalOptions::PartitionRestriction* part = PartitionFor(entry.var);
+  /// One FROM entry. A class-variable entry first enumerates Class,
+  /// binding the class variable; then, per class, a bound variable is
+  /// a membership filter and an unbound one a generator.
+  Status StepFrom(size_t from_index, size_t used_count, Binding* binding,
+                  const std::function<Status()>& done) {
+    const FromEntry& entry = *froms_[from_index];
     auto with_class = [&](const Oid& cls) -> Status {
       if (binding->Bound(entry.var)) {
-        if (!db->IsInstanceOf(binding->Get(entry.var), cls)) {
-          return Status::OK();
-        }
-        // A parallel worker accepts only its own slice: some other
-        // generator (a path enumeration, an index probe, a meta-class
-        // loop) may have bound the variable first, and this membership
-        // filter is what confines those solutions to the partition.
-        if (part != nullptr && !part->set->Contains(binding->Get(entry.var))) {
-          return Status::OK();
-        }
-        span.AddRows(1);
-        return next();
+        return EvalFromEntry(entry, cls, binding, [&]() {
+          return Step(used_count + 1, binding, done);
+        });
       }
-      const VarRange* range = nullptr;
-      if (opts_ != nullptr && opts_->use_range_pruning &&
-          opts_->ranges != nullptr) {
-        auto it = opts_->ranges->find(entry.var);
-        if (it != opts_->ranges->end()) range = &it->second;
-      }
-      if (part != nullptr) {
-        // Iterate the slice instead of the extent. The slice was cut
-        // from the *planned* entry's extent; when the same variable is
-        // FROM-declared twice, this entry's class may differ, so class
-        // membership is re-checked per candidate.
-        for (const Oid& oid : *part->ordered) {
-          XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-          if (!db->IsInstanceOf(oid, cls)) continue;
-          if (range != nullptr && !range->Within(*db, oid)) continue;
-          BindScope scope(binding, entry.var, oid);
-          span.AddRows(1);
-          XSQL_RETURN_IF_ERROR(next());
-        }
-        return Status::OK();
-      }
-      for (const Oid& oid : db->Extent(cls)) {
-        XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-        if (range != nullptr && !range->Within(*db, oid)) continue;
-        BindScope scope(binding, entry.var, oid);
-        span.AddRows(1);
-        XSQL_RETURN_IF_ERROR(next());
-      }
-      return Status::OK();
+      return GenerateFrom(from_index, cls, used_count, binding, done);
     };
-    if (entry.cls.is_var()) {
-      const Variable& cvar = entry.cls.var;
-      if (binding->Bound(cvar)) return with_class(binding->Get(cvar));
-      for (const Oid& cls : db->graph().Extent(builtin::MetaClass())) {
-        XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-        BindScope scope(binding, cvar, cls);
-        XSQL_RETURN_IF_ERROR(with_class(cls));
-      }
-      return Status::OK();
-    }
-    if (!entry.cls.is_const()) {
+    if (entry.cls.is_const()) return with_class(entry.cls.value);
+    if (!entry.cls.is_var()) {
       return Status::RuntimeError("FROM class must be a name or variable");
     }
-    return with_class(entry.cls.value);
+    const Variable& cvar = entry.cls.var;
+    if (binding->Bound(cvar)) return with_class(binding->Get(cvar));
+    for (const Oid& cls : ev_->db()->graph().Extent(builtin::MetaClass())) {
+      XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
+      BindScope scope(binding, cvar, cls);
+      XSQL_RETURN_IF_ERROR(with_class(cls));
+    }
+    return Status::OK();
+  }
+
+  /// A FROM entry over an already-bound variable: the §3.4 consistency
+  /// check that its value is an instance of `cls`. A parallel worker
+  /// also accepts only its own slice here: some other generator (a path
+  /// enumeration, an index probe, a meta-class loop) may have bound the
+  /// variable first, and this filter is what confines those solutions
+  /// to the partition.
+  Status EvalFromEntry(const FromEntry& entry, const Oid& cls,
+                       Binding* binding, const std::function<Status()>& next) {
+    obs::Span span("from", [&] { return entry.ToString(); });
+    const Oid& value = binding->Get(entry.var);
+    if (!ev_->db()->IsInstanceOf(value, cls)) return Status::OK();
+    const EvalOptions::PartitionRestriction* part = PartitionFor(entry.var);
+    if (part != nullptr && !part->set->Contains(value)) return Status::OK();
+    span.AddRows(1);
+    return next();
   }
 
   /// True when the path can evaluate without falling back to domain
@@ -569,31 +583,11 @@ class ConjunctDriver {
     return Status::RuntimeError("unexpected condition kind");
   }
 
-  /// The Theorem 6.1(2) range for a FROM variable, or null.
-  const VarRange* RangeFor(const Variable& var) const {
-    if (opts_ == nullptr || !opts_->use_range_pruning ||
-        opts_->ranges == nullptr) {
-      return nullptr;
-    }
-    auto it = opts_->ranges->find(var);
-    return it == opts_->ranges->end() ? nullptr : &it->second;
-  }
-
   /// The parallel worker's partition when it restricts `var`, or null.
   const EvalOptions::PartitionRestriction* PartitionFor(
       const Variable& var) const {
     if (opts_ == nullptr || opts_->partition == nullptr) return nullptr;
     return opts_->partition->var == var ? opts_->partition : nullptr;
-  }
-
-  /// True when the FROM entry can run batch-at-a-time: a pure plan
-  /// (nothing mutates mid-statement, so cached candidate arrays stay
-  /// valid), batching enabled, a constant class, and the variable still
-  /// unbound (a bound entry is a membership filter, not a generator).
-  bool BatchableFrom(size_t j, const Binding& binding) const {
-    return plan_ != nullptr && plan_->batch_eligible && opts_ != nullptr &&
-           opts_->exec_batch && froms_[j]->cls.is_const() &&
-           !binding.Bound(froms_[j]->var);
   }
 
   /// True when every variable of `cond` is either bound or `var` — i.e.
@@ -611,19 +605,25 @@ class ConjunctDriver {
     return true;
   }
 
-  /// Batch-at-a-time evaluation of one FROM generator: materializes the
-  /// entry's candidates once per slot (cached across re-entries — the
-  /// tuple path re-reads the extent on every outer binding precisely
-  /// because an impure conjunct could mutate it, which purity rules
-  /// out), folds every conjunct that becomes ground once `entry.var`
-  /// binds into selection-vector prefilter passes over chunks of
-  /// candidates, and recurses into the driver only for survivors.
+  /// The FROM generator: binds `entry.var` to each candidate over class
+  /// `cls` (FromCandidates) and continues the enumeration. Under a pure
+  /// plan (QueryPlan::batch_eligible) a constant-class slot's array is
+  /// built once and cached across re-entries — nothing can grow or
+  /// shrink an extent mid-statement — and every conjunct that becomes
+  /// ground once `entry.var` binds runs as a selection-vector prefilter
+  /// over chunks of candidates (FilterBatch), so the driver recurses
+  /// only for survivors. Everything else (no plan, an impure plan, a
+  /// class-variable entry) rebuilds the array on every entry, since an
+  /// impure conjunct may have changed the extent, and runs no
+  /// prefilters: candidates are visited and conjuncts evaluated in the
+  /// order the driver picks them (§5's left-to-right UPDATE semantics).
   /// Standalone paths and ORs never join the prefilter set: they can
   /// continue the enumeration more than once per candidate, which a
-  /// pass/fail selection bit cannot express.
-  Status StepBatchedFrom(size_t from_index, size_t used_count,
-                         Binding* binding,
-                         const std::function<Status()>& done) {
+  /// pass/fail selection bit cannot express. Steps (DESIGN.md §7): one
+  /// per candidate per prefilter pass, charged in FilterBatch, and one
+  /// per candidate visited.
+  Status GenerateFrom(size_t from_index, const Oid& cls, size_t used_count,
+                      Binding* binding, const std::function<Status()>& done) {
     static obs::Counter& batches =
         obs::MetricsRegistry::Global().GetCounter("xsql.exec.batches");
     static obs::Counter& batch_rows =
@@ -631,37 +631,27 @@ class ConjunctDriver {
     static obs::Counter& batch_filtered =
         obs::MetricsRegistry::Global().GetCounter("xsql.exec.batch_filtered");
     const FromEntry& entry = *froms_[from_index];
-    obs::Span span("exec/batch", [&] { return entry.ToString(); });
-    Database* db = ev_->db();
+    const bool batched =
+        plan_ != nullptr && plan_->batch_eligible && entry.cls.is_const();
+    obs::Span span(batched ? "exec/batch" : "from",
+                   [&] { return entry.ToString(); });
 
-    auto cached = from_cache_.find(from_index);
-    if (cached == from_cache_.end()) {
-      std::vector<Oid> cands;
-      const VarRange* range = RangeFor(entry.var);
-      const EvalOptions::PartitionRestriction* part = PartitionFor(entry.var);
-      if (part != nullptr) {
-        // A worker scans only its slice (class membership re-checked:
-        // the slice was cut from the planned entry, and the same
-        // variable may be FROM-declared under another class too).
-        for (const Oid& oid : *part->ordered) {
-          XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-          if (!db->IsInstanceOf(oid, entry.cls.value)) continue;
-          if (range != nullptr && !range->Within(*db, oid)) continue;
-          cands.push_back(oid);
-        }
-      } else {
-        for (const Oid& oid : db->Extent(entry.cls.value)) {
-          XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-          if (range != nullptr && !range->Within(*db, oid)) continue;
-          cands.push_back(oid);
-        }
+    std::vector<Oid> rebuilt;
+    const std::vector<Oid>* cands = &rebuilt;
+    auto cached = batched ? from_cache_.find(from_index) : from_cache_.end();
+    if (cached != from_cache_.end()) {
+      cands = &cached->second;
+    } else {
+      XSQL_ASSIGN_OR_RETURN(rebuilt, FromCandidates(*ev_->db(), ev_->ctx_,
+                                                    *opts_, cls, entry.var));
+      if (batched) {
+        cands = &from_cache_.emplace(from_index, std::move(rebuilt))
+                     .first->second;
       }
-      cached = from_cache_.emplace(from_index, std::move(cands)).first;
     }
-    const std::vector<Oid>& cands = cached->second;
 
     std::vector<size_t> filters;
-    for (size_t i = 0; i < conjuncts_.size(); ++i) {
+    for (size_t i = 0; batched && i < conjuncts_.size(); ++i) {
       if (used_[i]) continue;
       switch (conjuncts_[i]->kind) {
         case Condition::Kind::kComparison:
@@ -682,55 +672,42 @@ class ConjunctDriver {
     std::stable_sort(filters.begin(), filters.end(), [&](size_t a, size_t b) {
       return plan_->conjunct_rank[a] < plan_->conjunct_rank[b];
     });
-
-    from_used_[from_index] = true;
     for (size_t f : filters) used_[f] = true;
-    const size_t consumed = 1 + filters.size();
+    const size_t next_count = used_count + 1 + filters.size();
 
     Status st = Status::OK();
-    if (filters.empty()) {
-      // No prefilters: still iterate from the cached array (the big
-      // constant-factor win on FROM re-entries), one step per candidate.
-      for (const Oid& oid : cands) {
-        st = ev_->ctx_->Step();
-        if (!st.ok()) break;
-        BindScope scope(binding, entry.var, oid);
-        span.AddRows(1);
-        st = Step(used_count + consumed, binding, done);
-        if (!st.ok()) break;
-      }
-    } else {
-      constexpr size_t kBatchSize = 1024;
-      std::vector<char> sel;
-      std::vector<Oid> chunk;
-      for (size_t base = 0; base < cands.size() && st.ok();
-           base += kBatchSize) {
-        const size_t n = std::min(kBatchSize, cands.size() - base);
+    constexpr size_t kBatchSize = 1024;
+    std::vector<char> sel;
+    std::vector<Oid> chunk;
+    for (size_t base = 0; base < cands->size() && st.ok();
+         base += kBatchSize) {
+      const size_t n = std::min(kBatchSize, cands->size() - base);
+      sel.assign(n, 1);
+      if (!filters.empty()) {
         batches.Inc();
         batch_rows.Inc(n);
-        chunk.assign(cands.begin() + base, cands.begin() + base + n);
-        sel.assign(n, 1);
+        chunk.assign(cands->begin() + base, cands->begin() + base + n);
         for (size_t f : filters) {
           st = FilterBatch(ev_, *conjuncts_[f], entry.var, chunk, binding,
                            &sel);
           if (!st.ok()) break;
         }
         if (!st.ok()) break;
-        size_t kept = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (!sel[i]) continue;
-          ++kept;
-          BindScope scope(binding, entry.var, chunk[i]);
-          span.AddRows(1);
-          st = Step(used_count + consumed, binding, done);
-          if (!st.ok()) break;
-        }
-        batch_filtered.Inc(n - kept);
       }
+      size_t kept = 0;
+      for (size_t i = 0; i < n && st.ok(); ++i) {
+        if (!sel[i]) continue;
+        ++kept;
+        st = ev_->ctx_->Step();
+        if (!st.ok()) break;
+        BindScope scope(binding, entry.var, (*cands)[base + i]);
+        span.AddRows(1);
+        st = Step(next_count, binding, done);
+      }
+      if (!filters.empty()) batch_filtered.Inc(n - kept);
     }
 
     for (size_t f : filters) used_[f] = false;
-    from_used_[from_index] = false;
     return st;
   }
 
@@ -750,21 +727,12 @@ class ConjunctDriver {
         obs::MetricsRegistry::Global().GetCounter("xsql.plan.hash_joins");
     joins.Inc();
     obs::Span span("plan/hash-join", [&] { return cond->ToString(); });
-    Database* db = ev_->db();
-    auto candidates = [&](const FromEntry& entry) -> Result<std::vector<Oid>> {
-      std::vector<Oid> out;
-      const VarRange* range = RangeFor(entry.var);
-      // The join consumes the FROM entry outright, so a parallel
-      // worker's partition must be applied here — no later membership
-      // filter will see these bindings.
-      const EvalOptions::PartitionRestriction* part = PartitionFor(entry.var);
-      for (const Oid& oid : db->Extent(entry.cls.value)) {
-        XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
-        if (range != nullptr && !range->Within(*db, oid)) continue;
-        if (part != nullptr && !part->set->Contains(oid)) continue;
-        out.push_back(oid);
-      }
-      return out;
+    // The join consumes both FROM entries outright, so the candidates
+    // carry a parallel worker's partition — no later membership filter
+    // will see these bindings.
+    auto candidates = [&](const FromEntry& entry) {
+      return FromCandidates(*ev_->db(), ev_->ctx_, *opts_, entry.cls.value,
+                            entry.var);
     };
     XSQL_ASSIGN_OR_RETURN(std::vector<Oid> lhs_cands,
                           candidates(*froms_[lhs_from]));
@@ -905,9 +873,8 @@ class ConjunctDriver {
   std::vector<size_t> fixed_order_;
   std::vector<bool> used_;
   std::vector<bool> from_used_;
-  /// Materialized candidate arrays per FROM slot (batch mode only);
-  /// valid for the whole statement because batch mode requires a pure
-  /// plan — nothing can grow or shrink an extent mid-statement.
+  /// Candidate arrays per constant-class FROM slot, cached only under a
+  /// pure plan: nothing can grow or shrink an extent mid-statement.
   std::map<size_t, std::vector<Oid>> from_cache_;
 };
 
@@ -1057,7 +1024,7 @@ Result<OidSet> Evaluator::InvokeQueryMethod(const QueryMethodBody& body,
   };
   XSQL_RETURN_IF_ERROR(
       ForEachSolution(body.from(), body.where(), &binding, opts, &pe,
-                      /*order=*/{}, solution));
+                      solution));
   if (!body.set_valued() && results.size() > 1) {
     return Status::RuntimeError("scalar method " + body.method().ToString() +
                                 " produced " + std::to_string(results.size()) +
@@ -1070,67 +1037,18 @@ Status Evaluator::ForEachSolution(const std::vector<FromEntry>& from,
                                   const std::shared_ptr<Condition>& where,
                                   Binding* binding, const EvalOptions& opts,
                                   PathEvaluator* pe,
-                                  std::vector<size_t> order,
                                   const std::function<Status()>& cb) {
   std::vector<const Condition*> conjuncts;
   if (where != nullptr) FlattenAnd(*where, &conjuncts);
-
-  if (order.empty()) {
-    // Integrated mode: FROM entries join the ready-first driver, so a
-    // path expression can bind a variable and the FROM entry degrades
-    // to a membership filter — no eager cartesian product.
-    std::vector<const FromEntry*> froms;
-    froms.reserve(from.size());
-    for (const FromEntry& entry : from) froms.push_back(&entry);
-    ConjunctDriver driver(this, pe, std::move(conjuncts), {},
-                          std::move(froms), &opts);
-    return driver.Enumerate(binding, cb);
-  }
-
-  // Explicit-order mode (plan experiments): FROM loops run eagerly, and
-  // the conjuncts follow the caller's order exactly.
-  ConjunctDriver driver(this, pe, std::move(conjuncts), std::move(order), {},
-                        &opts);
-  std::function<Status(size_t)> from_loop = [&](size_t idx) -> Status {
-    if (idx == from.size()) return driver.Enumerate(binding, cb);
-    const FromEntry& entry = from[idx];
-    auto with_class = [&](const Oid& cls) -> Status {
-      if (binding->Bound(entry.var)) {
-        // §3.4 consistency with the FROM clause.
-        if (!db_->IsInstanceOf(binding->Get(entry.var), cls)) {
-          return Status::OK();
-        }
-        return from_loop(idx + 1);
-      }
-      OidSet extent = db_->Extent(cls);
-      const VarRange* range = nullptr;
-      if (opts.use_range_pruning && opts.ranges != nullptr) {
-        auto it = opts.ranges->find(entry.var);
-        if (it != opts.ranges->end()) range = &it->second;
-      }
-      for (const Oid& oid : extent) {
-        XSQL_RETURN_IF_ERROR(ctx_->Step());
-        if (range != nullptr && !range->Within(*db_, oid)) continue;
-        BindScope scope(binding, entry.var, oid);
-        XSQL_RETURN_IF_ERROR(from_loop(idx + 1));
-      }
-      return Status::OK();
-    };
-    if (entry.cls.is_var()) {
-      const Variable& cvar = entry.cls.var;
-      if (binding->Bound(cvar)) return with_class(binding->Get(cvar));
-      for (const Oid& cls : db_->graph().Extent(builtin::MetaClass())) {
-        BindScope scope(binding, cvar, cls);
-        XSQL_RETURN_IF_ERROR(with_class(cls));
-      }
-      return Status::OK();
-    }
-    if (!entry.cls.is_const()) {
-      return Status::RuntimeError("FROM class must be a name or variable");
-    }
-    return with_class(entry.cls.value);
-  };
-  return from_loop(0);
+  // FROM entries join the ready-first driver, so a path expression can
+  // bind a variable and the FROM entry degrades to a membership filter —
+  // no eager cartesian product (unless an explicit order asks for one).
+  std::vector<const FromEntry*> froms;
+  froms.reserve(from.size());
+  for (const FromEntry& entry : from) froms.push_back(&entry);
+  ConjunctDriver driver(this, pe, std::move(conjuncts), opts.conjunct_order,
+                        std::move(froms), &opts);
+  return driver.Enumerate(binding, cb);
 }
 
 Result<EvalOutput> Evaluator::Run(const Query& query, const EvalOptions& opts,
@@ -1158,8 +1076,7 @@ Result<EvalOutput> Evaluator::Run(const Query& query, const EvalOptions& opts,
 bool Evaluator::TryRunParallel(const Query& query, const EvalOptions& opts,
                                const Binding* outer, Result<EvalOutput>* out) {
   if (opts.pool == nullptr || opts.max_workers < 2 ||
-      opts.partition != nullptr || !opts.exec_batch ||
-      !opts.conjunct_order.empty()) {
+      opts.partition != nullptr || !opts.conjunct_order.empty()) {
     return false;
   }
   const QueryPlan* plan = opts.plan;
@@ -1184,19 +1101,13 @@ bool Evaluator::TryRunParallel(const Query& query, const EvalOptions& opts,
   if (!entry.cls.is_const()) return false;
   if (outer != nullptr && outer->Bound(entry.var)) return false;
 
-  // Materialize the outer candidates (extent ∩ range) in extent order.
-  std::vector<Oid> candidates;
-  {
-    const VarRange* range = nullptr;
-    if (opts.use_range_pruning && opts.ranges != nullptr) {
-      auto it = opts.ranges->find(entry.var);
-      if (it != opts.ranges->end()) range = &it->second;
-    }
-    for (const Oid& oid : db_->Extent(entry.cls.value)) {
-      if (range != nullptr && !range->Within(*db_, oid)) continue;
-      candidates.push_back(oid);
-    }
+  Result<std::vector<Oid>> built =
+      FromCandidates(*db_, ctx_, opts, entry.cls.value, entry.var);
+  if (!built.ok()) {
+    *out = built.status();
+    return true;
   }
+  const std::vector<Oid>& candidates = *built;
   const size_t min_per = std::max<size_t>(1, opts.min_parallel_candidates);
   const size_t partitions =
       std::min<size_t>(opts.max_workers, candidates.size() / min_per);
@@ -1408,8 +1319,8 @@ Result<EvalOutput> Evaluator::RunImpl(const Query& query,
     return cartesian(0);
   };
 
-  XSQL_RETURN_IF_ERROR(ForEachSolution(query.from, query.where, &binding,
-                                       opts, &pe, opts.conjunct_order, emit));
+  XSQL_RETURN_IF_ERROR(
+      ForEachSolution(query.from, query.where, &binding, opts, &pe, emit));
 
   if (creates_objects) {
     Oid result_class =

@@ -115,13 +115,11 @@ struct EvalOptions {
   /// markings. Advisory — the conjunct driver validates it against the
   /// query's shape and ignores it on any mismatch (or when
   /// `allow_reorder` is off, or when `conjunct_order` fixes an explicit
-  /// order). Must outlive the evaluation.
+  /// order). A pure plan (QueryPlan::batch_eligible) also lets the FROM
+  /// generator cache candidate arrays across re-entries and run cheap
+  /// ground conjuncts per-batch over a selection vector. Must outlive
+  /// the evaluation.
   const QueryPlan* plan = nullptr;
-  /// Batch-at-a-time candidate processing for pure plans (see
-  /// QueryPlan::batch_eligible): FROM candidates are materialized once
-  /// per slot, cached across re-entries, and cheap ground conjuncts run
-  /// per-batch over a selection vector. Off restores tuple-at-a-time.
-  bool exec_batch = true;
 
   /// Restriction of one variable to a contiguous slice of its extent —
   /// how a parallel worker is confined to its partition. Enforced at
@@ -240,13 +238,13 @@ class Evaluator : public MethodInvoker {
 
   PathEvaluator MakePathEvaluator(const EvalOptions& opts);
 
-  /// Runs the FROM loops and the WHERE conjunct driver, calling `cb`
-  /// once per solution (binding extended in place).
+  /// Runs the FROM entries and the WHERE conjuncts through one
+  /// conjunct driver, calling `cb` once per solution (binding extended
+  /// in place). `opts.conjunct_order` fixes an explicit order.
   Status ForEachSolution(const std::vector<FromEntry>& from,
                          const std::shared_ptr<Condition>& where,
                          Binding* binding, const EvalOptions& opts,
-                         PathEvaluator* pe, std::vector<size_t> order,
-                         const std::function<Status()>& cb);
+                         PathEvaluator* pe, const std::function<Status()>& cb);
 
   /// Runs a query-defined method body.
   Result<OidSet> InvokeQueryMethod(const QueryMethodBody& body,

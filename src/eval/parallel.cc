@@ -90,8 +90,8 @@ namespace {
 // that shape we can evaluate the invariant side ONCE per batch and
 // answer the candidate side with a direct stored-attribute fetch —
 // provably the same result (see HasZeroAryDefinition below for the one
-// case that is gated out). Every other shape takes the per-tuple ground
-// test, so the fast path never has to approximate.
+// case that is gated out). Every other shape takes the per-candidate
+// ground test, so the fast path never has to approximate.
 // ---------------------------------------------------------------------
 
 /// The candidate-side shapes the kernel vectorizes: the bare variable,
@@ -136,7 +136,7 @@ bool MentionsVar(const PathExpr& path, const Variable& var) {
 
 /// Conservatively true when `expr` may depend on `var`. Subqueries
 /// always count (their correlation analysis is not worth re-deriving
-/// here); they simply take the per-tuple fallback.
+/// here); they simply take the per-candidate fallback.
 bool MayMentionVar(const ValueExpr& expr, const Variable& var) {
   switch (expr.kind) {
     case ValueExpr::Kind::kPath:
@@ -201,8 +201,9 @@ struct FastCmp {
 /// qualifies: comparisons with `var`/`var.Attr` on exactly one side and
 /// a var-free expression on the other, under any tree of ANDs and leaf
 /// NOTs. Any other node rejects the whole condition (the caller then
-/// runs the per-tuple ground test), so the fast path never evaluates a
-/// mixed tree. NOT-over-AND is rejected rather than De-Morganed.
+/// runs the per-candidate ground test), so the fast path never
+/// evaluates a mixed tree. NOT-over-AND is rejected rather than
+/// De-Morganed.
 bool DecomposeFast(const Database& db, const Condition& cond,
                    const Variable& var, bool negate,
                    std::vector<FastCmp>* out) {
@@ -241,15 +242,15 @@ bool DecomposeFast(const Database& db, const Condition& cond,
 }
 
 /// The vectorized filter loop. One `Step()` charge per selected
-/// candidate (the per-tuple path additionally charges inside the path
-/// walk; step budgets are documented approximate — only the ROW budget
-/// is exact, and it is charged by the driver, not here).
+/// candidate, the same as the generic loop below (DESIGN.md §7: one
+/// step per candidate per prefilter pass; the generic loop's ground
+/// test also charges whatever its path walk invokes).
 Status FilterBatchFast(Evaluator* ev, std::vector<FastCmp>* cmps,
                        const std::vector<Oid>& batch, Binding* binding,
                        std::vector<char>* sel) {
   // Evaluate every batch-invariant side once — but only if some
   // candidate is still selected, so an error in that expression
-  // surfaces exactly when the per-tuple path would have surfaced it.
+  // surfaces exactly when the per-candidate test would have surfaced it.
   bool any = false;
   for (char s : *sel) {
     if (s) {
@@ -313,7 +314,7 @@ Status FilterBatch(Evaluator* ev, const Condition& cond, const Variable& var,
                    const std::vector<Oid>& batch, Binding* binding,
                    std::vector<char>* sel) {
   // Fast path: a pure conjunction of invariant-vs-candidate comparisons
-  // over an unbound variable vectorizes without the per-tuple path
+  // over an unbound variable vectorizes without the per-candidate path
   // machinery. (A pre-bound `var` keeps BindScope's conflict semantics
   // by falling through to the generic loop.)
   if (!binding->Bound(var)) {

@@ -83,13 +83,13 @@ class WorkerPool {
 /// The batch filter kernel: applies `cond` to every still-selected
 /// candidate of `batch` (binding `var` to it for the test) and clears
 /// the selection bit of every candidate that fails. Semantically this
-/// is exactly the tuple-at-a-time `Evaluator::TestCondition` — one
-/// ground test and one `Step()` charge per selected candidate — hoisted
-/// out of the per-tuple driver so the driver pays the pick/ready
-/// bookkeeping once per batch instead of once per tuple. `sel` must
-/// have `batch.size()` entries. Exposed as a free function so the
-/// comparator tests can pin batch ≡ tuple equivalence (NaN totality
-/// included) against the production kernel.
+/// is exactly one ground `Evaluator::TestCondition` per selected
+/// candidate, plus one `Step()` charge each, hoisted out of the
+/// conjunct driver so it pays the pick/ready bookkeeping once per
+/// batch instead of once per candidate. `sel` must have `batch.size()`
+/// entries. Exposed as a free function so the comparator tests can pin
+/// kernel ≡ TestCondition equivalence (NaN totality included) against
+/// the production kernel.
 Status FilterBatch(Evaluator* ev, const Condition& cond, const Variable& var,
                    const std::vector<Oid>& batch, Binding* binding,
                    std::vector<char>* sel);

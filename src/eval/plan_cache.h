@@ -22,11 +22,10 @@ namespace xsql {
 /// execute straight off one instance.
 struct PreparedPlan {
   Statement stmt;
-  /// Typing ran (simple queries only; UNION trees and DDL skip it).
-  bool has_typing = false;
-  TypingResult typing;
-  /// Planning ran (implies has_typing).
+  /// Typing and planning ran (simple queries only; UNION trees and DDL
+  /// skip both).
   bool has_plan = false;
+  TypingResult typing;
   QueryPlan plan;
   /// Database::version() the preparation read; any mutation since makes
   /// the entry stale (name resolution, ranges, extents all depend on
@@ -41,10 +40,9 @@ struct PreparedPlan {
 /// `Database::version()`) can never serve a stale preparation.
 ///
 /// Thread safety: every operation takes the internal mutex. The server
-/// shares one cache across all connection sessions; parallel readers
-/// under the shared statement latch hit it concurrently, writers run
-/// under the exclusive latch and simply repopulate after bumping the
-/// version.
+/// shares one cache across all connection sessions; latch-free snapshot
+/// readers hit it concurrently, writers run under the statement latch
+/// and simply repopulate after bumping the version.
 class PlanCache {
  public:
   /// `capacity` 0 disables the cache (lookups miss, inserts drop).

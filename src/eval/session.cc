@@ -104,8 +104,7 @@ Result<EvalOutput> Session::ExecuteParsed(const std::string& text,
     case Statement::Kind::kSystemStatus:
       return SystemStatusOutput();
     default:
-      return ExecuteGuarded(stmt, /*rollback_always=*/false, read_only,
-                            prepared.get());
+      return ExecuteGuarded(*prepared, /*rollback_always=*/false, read_only);
   }
 }
 
@@ -169,7 +168,6 @@ void Session::PrepareStatement(PreparedPlan* prepared) {
     prepared->typing = checker.Check(*stmt.query->simple,
                                      options_.typing_mode,
                                      options_.exemptions);
-    prepared->has_typing = true;
   }
   static obs::Counter& prepares =
       obs::MetricsRegistry::Global().GetCounter("xsql.plan.prepares");
@@ -184,10 +182,10 @@ void Session::PrepareStatement(PreparedPlan* prepared) {
   prepared->has_plan = true;
 }
 
-Result<EvalOutput> Session::ExecuteGuarded(const Statement& stmt,
+Result<EvalOutput> Session::ExecuteGuarded(const PreparedPlan& prepared,
                                            bool rollback_always,
-                                           bool read_only,
-                                           const PreparedPlan* prepared) {
+                                           bool read_only) {
+  const Statement& stmt = prepared.stmt;
   // One guardrail context per statement: the deadline countdown starts
   // here and budgets reset.
   ExecutionContext ctx(options_.limits, options_.cancel);
@@ -201,7 +199,7 @@ Result<EvalOutput> Session::ExecuteGuarded(const Statement& stmt,
   UndoLog undo;
   const bool own_txn = !read_only && !db_->undo_active();
   if (own_txn) db_->BeginUndo(&undo);
-  Result<EvalOutput> out = ExecuteStatement(stmt, prepared);
+  Result<EvalOutput> out = ExecuteStatement(prepared);
   span.AddSteps(ctx.steps());
   if (out.ok()) span.AddRows(out->relation.size());
   if (own_txn) {
@@ -211,14 +209,13 @@ Result<EvalOutput> Session::ExecuteGuarded(const Statement& stmt,
   return out;
 }
 
-Result<EvalOutput> Session::ExecuteStatement(const Statement& stmt,
-                                             const PreparedPlan* prepared) {
+Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared) {
+  const Statement& stmt = prepared.stmt;
   switch (stmt.kind) {
     case Statement::Kind::kQuery: {
       EvalOptions opts;
       opts.use_range_pruning = options_.use_range_pruning;
       opts.indexes = options_.indexes;
-      opts.exec_batch = options_.exec_batch;
       if (options_.worker_pool != nullptr && options_.exec_workers >= 2) {
         // Arming is safe on any statement: only plans the planner proved
         // pure (parallel_eligible) pass the fan-out gate, and pure
@@ -227,34 +224,18 @@ Result<EvalOutput> Session::ExecuteStatement(const Statement& stmt,
         opts.max_workers = options_.exec_workers;
         opts.min_parallel_candidates = options_.exec_min_parallel_candidates;
       }
-      TypingResult local_typing;
       if (stmt.query->kind == QueryExpr::Kind::kSimple) {
-        const TypingResult* typing = nullptr;
-        if (prepared != nullptr && prepared->has_typing) {
-          typing = &prepared->typing;
-        } else {
-          // Legacy inline path (no preparation happened).
-          obs::Span span("typecheck");
-          TypeChecker checker(*db_);
-          local_typing = checker.Check(*stmt.query->simple,
-                                       options_.typing_mode,
-                                       options_.exemptions);
-          typing = &local_typing;
-        }
-        if (!typing->well_typed && options_.enforce_typing &&
-            typing->in_fragment) {
+        // PrepareStatement type-checks and plans every simple query.
+        const TypingResult& typing = prepared.typing;
+        if (!typing.well_typed && options_.enforce_typing &&
+            typing.in_fragment) {
           return Status::TypeError("query is not well-typed (" +
-                                   typing->explanation + ")");
+                                   typing.explanation + ")");
         }
-        if (typing->well_typed && typing->in_fragment) {
-          opts.ranges = &typing->ranges;  // Theorem 6.1(2)
+        if (typing.well_typed && typing.in_fragment) {
+          opts.ranges = &typing.ranges;  // Theorem 6.1(2)
         }
-        if (options_.use_planner && prepared != nullptr &&
-            prepared->has_plan) {
-          opts.plan = &prepared->plan;
-        }
-      }
-      if (stmt.query->kind == QueryExpr::Kind::kSimple) {
+        if (options_.use_planner) opts.plan = &prepared.plan;
         return evaluator_.Run(*stmt.query->simple, opts);
       }
       XSQL_ASSIGN_OR_RETURN(Relation rel,
@@ -343,8 +324,8 @@ Result<EvalOutput> Session::ExecuteExplainAnalyze(const Statement& stmt) {
   obs::Tracer tracer;
   obs::ScopedTracer install(&tracer);
   Result<EvalOutput> executed =
-      ExecuteGuarded(prepared.stmt, /*rollback_always=*/true,
-                     /*read_only=*/false, &prepared);
+      ExecuteGuarded(prepared, /*rollback_always=*/true,
+                     /*read_only=*/false);
   if (!executed.ok()) return executed.status();
   // Render phase: guard-exempt — the work already happened; rendering
   // is proportional to the number of distinct operators.

@@ -62,10 +62,6 @@ struct SessionOptions {
   /// outlive the session; null means no indexes. Stale indexes are
   /// ignored, never incorrect.
   const PathIndexSet* indexes = nullptr;
-  /// Batch-at-a-time execution of pure plans (candidate-array caching
-  /// plus selection-vector prefilters). Off restores the tuple-at-a-
-  /// time driver — the differential baseline.
-  bool exec_batch = true;
   /// Worker pool for intra-query parallelism; null keeps every
   /// statement serial. Owned by the server's ConcurrencyManager (or a
   /// test harness) — NEVER by the session, so the per-statement
@@ -216,16 +212,13 @@ class Session {
   /// are withdrawn even on success (EXPLAIN ANALYZE executes for real
   /// but must leave no trace). With `read_only` the undo log and the
   /// shared view-catalog context hook are skipped (see ExecuteReadOnly).
-  /// `prepared` carries the typing/plan computed at prepare time; null
-  /// makes kQuery statements type-check inline (legacy path).
-  Result<EvalOutput> ExecuteGuarded(const Statement& stmt,
-                                    bool rollback_always,
-                                    bool read_only = false,
-                                    const PreparedPlan* prepared = nullptr);
+  /// `prepared` carries the statement and the typing/plan computed at
+  /// prepare time.
+  Result<EvalOutput> ExecuteGuarded(const PreparedPlan& prepared,
+                                    bool rollback_always, bool read_only);
 
   /// The per-kind body: dispatch (context already armed).
-  Result<EvalOutput> ExecuteStatement(const Statement& stmt,
-                                      const PreparedPlan* prepared);
+  Result<EvalOutput> ExecuteStatement(const PreparedPlan& prepared);
 
   /// `EXPLAIN <q>`: the typing/plan report as a relation. Guard-exempt —
   /// nothing is evaluated.

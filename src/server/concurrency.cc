@@ -75,46 +75,16 @@ class PinnedSnapshotScope {
 
 }  // namespace
 
-Status StatementLatch::AcquireShared(
-    const ExecLimits& limits, const std::shared_ptr<CancelToken>& cancel) {
-  const Clock::time_point entered = Clock::now();
-  const std::optional<Clock::time_point> deadline = DeadlineFrom(limits);
-  std::unique_lock<std::mutex> lock(mu_);
-  // Writer preference: queue behind waiting writers, not just the
-  // holder, so a read-heavy load cannot starve mutations.
-  while (writer_ || writers_waiting_ > 0) {
-    XSQL_RETURN_IF_ERROR(CheckWaitGuards(deadline, cancel));
-    cv_.wait_for(lock, kWaitSlice);
-  }
-  ++readers_;
-  shared_acquires_.fetch_add(1, std::memory_order_relaxed);
-  RecordLatchWait(entered);
-  return Status::OK();
-}
-
-void StatementLatch::ReleaseShared() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--readers_ == 0) cv_.notify_all();
-}
-
 Status StatementLatch::AcquireExclusive(
     const ExecLimits& limits, const std::shared_ptr<CancelToken>& cancel) {
   const Clock::time_point entered = Clock::now();
   const std::optional<Clock::time_point> deadline = DeadlineFrom(limits);
   std::unique_lock<std::mutex> lock(mu_);
-  ++writers_waiting_;
-  while (writer_ || readers_ > 0) {
-    Status st = CheckWaitGuards(deadline, cancel);
-    if (!st.ok()) {
-      // Readers may be parked solely on our writers_waiting_ claim.
-      if (--writers_waiting_ == 0) cv_.notify_all();
-      return st;
-    }
+  while (writer_) {
+    XSQL_RETURN_IF_ERROR(CheckWaitGuards(deadline, cancel));
     cv_.wait_for(lock, kWaitSlice);
   }
-  --writers_waiting_;
   writer_ = true;
-  exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
   RecordLatchWait(entered);
   return Status::OK();
 }

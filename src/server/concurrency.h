@@ -28,14 +28,12 @@ namespace server {
 
 class ReplicationHub;
 
-/// Writer-writer ordering latch with deadline/cancel-aware acquisition.
+/// Exclusive writer latch with deadline/cancel-aware acquisition.
 ///
-/// Under MVCC this no longer serializes readers against writers — reads
-/// run latch-free against a pinned snapshot (see ConcurrencyManager).
-/// The exclusive side orders mutations, checkpoints, replica apply, and
-/// bootstrap capture against each other; the shared side remains for
-/// callers that need to exclude those administrative phases without
-/// claiming them (none on the statement path today).
+/// Under MVCC readers take no latch — they run against a pinned
+/// snapshot (see ConcurrencyManager). The latch orders mutations,
+/// checkpoints, replica apply, and bootstrap capture against each
+/// other.
 ///
 /// Acquisition polls in short slices so a waiting statement honors the
 /// same guardrails as a running one: the session's wall-clock deadline
@@ -44,28 +42,14 @@ class ReplicationHub;
 /// style of the execution guards.
 class StatementLatch {
  public:
-  Status AcquireShared(const ExecLimits& limits,
-                       const std::shared_ptr<CancelToken>& cancel);
-  void ReleaseShared();
   Status AcquireExclusive(const ExecLimits& limits,
                           const std::shared_ptr<CancelToken>& cancel);
   void ReleaseExclusive();
 
-  uint64_t shared_acquires() const {
-    return shared_acquires_.load(std::memory_order_relaxed);
-  }
-  uint64_t exclusive_acquires() const {
-    return exclusive_acquires_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  int readers_ = 0;
   bool writer_ = false;
-  int writers_waiting_ = 0;
-  std::atomic<uint64_t> shared_acquires_{0};
-  std::atomic<uint64_t> exclusive_acquires_{0};
 };
 
 /// How a statement executes under MVCC.

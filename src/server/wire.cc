@@ -160,12 +160,6 @@ Result<Frame> ReadFrame(int fd, const IoOptions& io) {
   return frame;
 }
 
-Result<Frame> ReadFrame(int fd, const std::atomic<bool>* stop) {
-  IoOptions io;
-  io.stop = stop;
-  return ReadFrame(fd, io);
-}
-
 Status WriteAll(int fd, const std::string& data, const IoOptions& io) {
   NetAction fault = DrawNetFault(io, /*is_read=*/false, data.size());
   if (fault.kind == NetFault::kReset) {
@@ -219,10 +213,6 @@ Status WriteAll(int fd, const std::string& data, const IoOptions& io) {
     return Status::RuntimeError("injected truncated write");
   }
   return Status::OK();
-}
-
-Status WriteAll(int fd, const std::string& data) {
-  return WriteAll(fd, data, IoOptions{});
 }
 
 }  // namespace server

@@ -73,8 +73,8 @@ struct Frame {
   std::string payload;
 };
 
-/// Per-connection socket I/O policy. The zero value reproduces the
-/// legacy behavior: block forever, no fault-injection site.
+/// Per-connection socket I/O policy. The zero value blocks forever and
+/// names no fault-injection site.
 struct IoOptions {
   /// Checked between poll slices; non-null on the server side so
   /// shutdown interrupts parked reads.
@@ -103,9 +103,6 @@ std::string EncodeFrame(MsgType type, const std::string& payload);
 /// length, RuntimeError on socket failure or an injected reset.
 Result<Frame> ReadFrame(int fd, const IoOptions& io);
 
-/// Legacy form: block forever (server passes the stop flag).
-Result<Frame> ReadFrame(int fd, const std::atomic<bool>* stop);
-
 /// Writes all of `data` under `io`, or fails having possibly sent a
 /// prefix — the caller must treat any error as a poisoned connection
 /// and close it (the peer then sees EOF mid-frame instead of a hang).
@@ -113,9 +110,6 @@ Result<Frame> ReadFrame(int fd, const std::atomic<bool>* stop);
 /// a NotFound status, never a SIGPIPE crash; ResourceExhausted when
 /// `io.io_timeout_ms` expires before the final byte is accepted.
 Status WriteAll(int fd, const std::string& data, const IoOptions& io);
-
-/// Legacy form: no timeout, no site.
-Status WriteAll(int fd, const std::string& data);
 
 }  // namespace server
 }  // namespace xsql

@@ -41,9 +41,9 @@ struct QueryPlan {
   /// invocations of registry-defined methods (query bodies may contain
   /// UPDATE clauses, native bodies take a mutable database), and no
   /// OID-function subqueries. Pure queries may cache materialized
-  /// candidate arrays across re-entries and filter them batch-at-a-time
-  /// (the tuple-at-a-time path re-reads extents precisely because a
-  /// conjunct could mutate them mid-statement).
+  /// candidate arrays across re-entries and filter them batch-at-a-time;
+  /// impure ones rebuild the arrays on every re-entry, because a
+  /// conjunct could mutate the extents mid-statement.
   bool batch_eligible = false;
   /// batch_eligible AND the outermost planned FROM entry is a constant
   /// class whose extent can be partitioned across workers.

@@ -78,65 +78,20 @@ class ConcurrencyTest : public ::testing::Test {
 
 // ---------------------------------------------------------------- latch
 
-TEST(StatementLatchTest, SharedHoldersRunInParallel) {
-  StatementLatch latch;
-  ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-  // A second reader gets in while the first still holds.
-  std::atomic<bool> entered{false};
-  std::thread reader([&] {
-    ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-    entered.store(true);
-    latch.ReleaseShared();
-  });
-  reader.join();
-  EXPECT_TRUE(entered.load());
-  latch.ReleaseShared();
-  EXPECT_EQ(latch.shared_acquires(), 2u);
-}
-
-TEST(StatementLatchTest, ExclusiveExcludesReaders) {
+TEST(StatementLatchTest, ExclusiveExcludesWriters) {
   StatementLatch latch;
   ASSERT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
   std::atomic<bool> entered{false};
-  std::thread reader([&] {
-    ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-    entered.store(true);
-    latch.ReleaseShared();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(entered.load());  // still parked behind the writer
-  latch.ReleaseExclusive();
-  reader.join();
-  EXPECT_TRUE(entered.load());
-}
-
-TEST(StatementLatchTest, WaitingWriterBlocksNewReaders) {
-  StatementLatch latch;
-  ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-  std::atomic<bool> writer_in{false};
-  std::atomic<bool> late_reader_in{false};
   std::thread writer([&] {
     ASSERT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
-    writer_in.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    entered.store(true);
     latch.ReleaseExclusive();
   });
-  // Let the writer start waiting, then try to read: writer preference
-  // must park this reader even though only a shared hold is active.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::thread late_reader([&] {
-    ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-    late_reader_in.store(true);
-    // The writer must have gone first.
-    EXPECT_TRUE(writer_in.load());
-    latch.ReleaseShared();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(late_reader_in.load());
-  latch.ReleaseShared();  // frees the writer, then the late reader
+  EXPECT_FALSE(entered.load());  // still parked behind the first writer
+  latch.ReleaseExclusive();
   writer.join();
-  late_reader.join();
-  EXPECT_TRUE(late_reader_in.load());
+  EXPECT_TRUE(entered.load());
 }
 
 TEST(StatementLatchTest, DeadlineTripsWhileWaiting) {
@@ -144,20 +99,20 @@ TEST(StatementLatchTest, DeadlineTripsWhileWaiting) {
   ASSERT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
   ExecLimits limits;
   limits.deadline_ms = 40;
-  Status st = latch.AcquireShared(limits, nullptr);
+  Status st = latch.AcquireExclusive(limits, nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(st.message().find("(guard: latch-wait)"), std::string::npos)
       << st.ToString();
   latch.ReleaseExclusive();
   // The latch is undamaged: acquisition works again.
-  EXPECT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-  latch.ReleaseShared();
+  EXPECT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
+  latch.ReleaseExclusive();
 }
 
 TEST(StatementLatchTest, CancelTripsWhileWaiting) {
   StatementLatch latch;
-  ASSERT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
+  ASSERT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
   auto cancel = std::make_shared<CancelToken>();
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -168,10 +123,10 @@ TEST(StatementLatchTest, CancelTripsWhileWaiting) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
   EXPECT_NE(st.message().find("(guard: latch-wait)"), std::string::npos);
-  latch.ReleaseShared();
-  // An abandoned exclusive wait must not leave readers parked forever.
-  EXPECT_TRUE(latch.AcquireShared(ExecLimits{}, nullptr).ok());
-  latch.ReleaseShared();
+  latch.ReleaseExclusive();
+  // An abandoned wait must not leave the latch held or wedged.
+  EXPECT_TRUE(latch.AcquireExclusive(ExecLimits{}, nullptr).ok());
+  latch.ReleaseExclusive();
 }
 
 // ------------------------------------------------------- classification

@@ -1,14 +1,16 @@
 // Batch-at-a-time + parallel execution (experiment id B16): the
-// differential matrix proving the batched driver and the partitioned
-// parallel path are answer-identical to the naive §3.4 reference AND
-// to the tuple-at-a-time plan-driven evaluator, across seeds and
-// worker counts; guardrail semantics under fan-out (cancellation
-// reaches workers, the row budget trips identically serial vs
-// parallel); the satellite regressions (shared active-domain snapshot
-// instead of a per-probe copy; index-generation staleness in the plan
-// cache); and the server wiring (ConcurrencyManager-owned pool,
-// snapshot readers fan out). Runs serially (ctest label: exec) — the
-// suite owns its worker pools and reads global metrics deltas.
+// differential matrix proving the one FROM driver is answer-identical
+// to the naive §3.4 reference with the planner off, planned serial
+// (pure plans batch), and partitioned parallel, across seeds and
+// worker counts — including impure statements, whose FROM arrays are
+// rebuilt on every re-entry; the exact step charge of the DESIGN.md §7
+// rule; guardrail semantics under fan-out (cancellation reaches
+// workers, the row budget trips identically serial vs parallel); the
+// satellite regressions (shared active-domain snapshot instead of a
+// per-probe copy; index-generation staleness in the plan cache); and
+// the server wiring (ConcurrencyManager-owned pool, snapshot readers
+// fan out). Runs serially (ctest label: exec) — the suite owns its
+// worker pools and reads global metrics deltas.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -85,6 +87,8 @@ const char* kJoinTemplates[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
     "SELECT X, Y, Z FROM Employee X, Employee Y, Company Z WHERE "
     "X.Salary =some Y.Salary and Z.Divisions.Employees[X]",
+    // Pure, but a class-variable entry never caches its candidates.
+    "SELECT X, $C FROM $C X, Company Y WHERE Y.Divisions.Employees[X]",
 };
 
 /// Single-variable corpus templates (most are batch-eligible; the OR
@@ -113,10 +117,24 @@ std::string Instantiate(const char* tmpl, Rng* rng) {
   return out;
 }
 
+/// Impure templates with at least two FROM entries: a path variable, a
+/// method variable, a class-variable FROM (made impure by a path
+/// variable). The planner never clears path or method variables as
+/// pure, so these run the driver's uncached, unfiltered FROM generator
+/// even with a plan.
+const char* kImpureTemplates[] = {
+    "SELECT X, Y FROM Employee X, Company Y WHERE "
+    "Y.Divisions.Employees[X] and X.*P.City[C]",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.\"M[Y]",
+    "SELECT X, $C FROM $C X, Company Y WHERE "
+    "Y.Divisions.Employees[X] and X.*P.City[C]",
+};
+
 /// Plans `text` the way the session does (strict witness ranges when
-/// one exists) and runs it under `opts` extras.
+/// one exists) and runs it under `opts` extras; with `use_planner` off
+/// the driver gets no plan (the greedy ready-first schedule).
 Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
-                              bool exec_batch, WorkerPool* pool,
+                              bool use_planner, WorkerPool* pool,
                               size_t workers,
                               ExecutionContext* ctx = nullptr) {
   auto stmt = ParseAndResolve(text, *db);
@@ -128,9 +146,8 @@ Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
   QueryPlan plan = planner.Plan(
       q, typing.well_typed && typing.in_fragment ? &typing.ranges : nullptr);
   EvalOptions opts;
-  opts.plan = &plan;
+  if (use_planner) opts.plan = &plan;
   if (typing.well_typed && typing.in_fragment) opts.ranges = &typing.ranges;
-  opts.exec_batch = exec_batch;
   opts.pool = pool;
   opts.max_workers = workers;
   // Tiny extents must still fan out or the parallel path is untested.
@@ -140,30 +157,34 @@ Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
 }
 
 /// The differential matrix for one query: naive §3.4 reference ==
-/// tuple-at-a-time plan-driven == batched serial == batched parallel
-/// at every worker count.
+/// planner off == planned serial == planned parallel at every worker
+/// count. The naive evaluator does not enumerate path variables; for
+/// those queries the planner-off run is the reference.
 void ExpectAllModesEqual(Database* db, const std::string& text) {
   auto stmt = ParseAndResolve(text, *db);
   ASSERT_TRUE(stmt.ok()) << text;
   ASSERT_EQ(stmt->kind, Statement::Kind::kQuery);
 
+  auto unplanned = RunPlanned(db, text, /*use_planner=*/false, nullptr, 0);
+  ASSERT_TRUE(unplanned.ok()) << text << "\n"
+                              << unplanned.status().ToString();
+  const auto expected = Rows(unplanned->relation);
+
   Evaluator reference(db);
   auto naive = reference.RunNaive(*stmt->query->simple);
-  ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
-  const auto expected = Rows(naive->relation);
+  if (naive.status().code() != StatusCode::kUnimplemented) {
+    ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
+    EXPECT_EQ(Rows(naive->relation), expected) << "naive: " << text;
+  }
 
-  auto tuple = RunPlanned(db, text, /*exec_batch=*/false, nullptr, 0);
-  ASSERT_TRUE(tuple.ok()) << text << "\n" << tuple.status().ToString();
-  EXPECT_EQ(Rows(tuple->relation), expected) << "tuple-at-a-time: " << text;
-
-  auto batched = RunPlanned(db, text, /*exec_batch=*/true, nullptr, 0);
-  ASSERT_TRUE(batched.ok()) << text << "\n" << batched.status().ToString();
-  EXPECT_EQ(Rows(batched->relation), expected) << "batched serial: " << text;
+  auto serial = RunPlanned(db, text, /*use_planner=*/true, nullptr, 0);
+  ASSERT_TRUE(serial.ok()) << text << "\n" << serial.status().ToString();
+  EXPECT_EQ(Rows(serial->relation), expected) << "planned serial: " << text;
 
   for (size_t workers : {size_t{2}, size_t{4}}) {
     WorkerPool pool(workers - 1);  // the caller participates
     auto parallel =
-        RunPlanned(db, text, /*exec_batch=*/true, &pool, workers);
+        RunPlanned(db, text, /*use_planner=*/true, &pool, workers);
     ASSERT_TRUE(parallel.ok())
         << text << "\n" << parallel.status().ToString();
     EXPECT_EQ(Rows(parallel->relation), expected)
@@ -191,8 +212,123 @@ TEST_P(ExecDifferentialTest, AllModesEqualOnCorpus) {
   }
 }
 
+TEST_P(ExecDifferentialTest, AllModesEqualOnImpureTemplates) {
+  Database db;
+  BuildTinyDb(&db, GetParam());
+  for (const char* text : kImpureTemplates) {
+    auto stmt = ParseAndResolve(text, db);
+    ASSERT_TRUE(stmt.ok()) << text;
+    Planner planner(db, nullptr);
+    EXPECT_FALSE(planner.Plan(*stmt->query->simple, nullptr).batch_eligible)
+        << text;
+    auto out = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+    ASSERT_TRUE(out.ok()) << text << "\n" << out.status().ToString();
+    EXPECT_GT(out->relation.size(), 0u) << text;
+    ExpectAllModesEqual(&db, text);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialTest,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+// ------------------------------------------------------- one driver
+
+TEST(OneDriverTest, ImpureConjunctGrowsInnerExtentMidStatement) {
+  // X.Mint is a native method that mints one Widget per Maker. The
+  // driver binds X, runs X.Mint, then enumerates Widget Y — so each
+  // re-entry of the Y generator must see every widget minted so far.
+  // A candidate array cached across re-entries would freeze Y at the
+  // first maker's single widget.
+  auto build = [](Database* db) {
+    ASSERT_TRUE(db->DeclareClass(A("Maker")).ok());
+    ASSERT_TRUE(db->DeclareClass(A("Widget")).ok());
+    for (const char* m : {"m1", "m2", "m3"}) {
+      ASSERT_TRUE(db->NewObject(A(m), {A("Maker")}).ok());
+    }
+    auto mint = std::make_shared<NativeMethodBody>(
+        0, /*set_valued=*/false,
+        [](Database& d, const Oid& maker,
+           const std::vector<Oid>&) -> Result<OidSet> {
+          const Oid widget = Oid::Atom("w_" + maker.ToString());
+          XSQL_RETURN_IF_ERROR(d.NewObject(widget, {Oid::Atom("Widget")}));
+          OidSet out;
+          out.Insert(widget);
+          return out;
+        });
+    ASSERT_TRUE(db->DefineMethod(A("Maker"), A("Mint"), 0, mint).ok());
+  };
+  const std::string text =
+      "SELECT X, Y FROM Maker X, Widget Y WHERE X.Mint";
+  const std::multiset<std::vector<Oid>> expected = {
+      {A("m1"), A("w_m1")},
+      {A("m2"), A("w_m1")}, {A("m2"), A("w_m2")},
+      {A("m3"), A("w_m1")}, {A("m3"), A("w_m2")}, {A("m3"), A("w_m3")},
+  };
+  for (bool use_planner : {false, true}) {
+    Database db;
+    build(&db);
+    auto out = RunPlanned(&db, text, use_planner, nullptr, 0);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(Rows(out->relation), expected) << "planner=" << use_planner;
+  }
+}
+
+/// The steps one evaluation of `text` charges, under `plan` (null: the
+/// planner-off schedule).
+uint64_t StepsOf(Database* db, const std::string& text,
+                 const QueryPlan* plan) {
+  auto stmt = ParseAndResolve(text, *db);
+  EXPECT_TRUE(stmt.ok()) << text;
+  if (!stmt.ok()) return 0;
+  EvalOptions opts;
+  opts.plan = plan;
+  ExecutionContext ctx{ExecLimits{}, nullptr};
+  Evaluator evaluator(db, nullptr, &ctx);
+  auto out = evaluator.Run(*stmt->query->simple, opts);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.ok() ? out->relation.size() : 0u, 6u);
+  return ctx.steps();
+}
+
+TEST(OneDriverTest, StepChargeFollowsTheRule) {
+  // DESIGN.md §7: one step per extent oid examined while building a
+  // candidate array, one per candidate per prefilter pass or visit;
+  // path walks charge one step per node (a bare variable is one node).
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Alpha")).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Beta")).ok());
+  for (const char* a : {"a1", "a2"}) {
+    ASSERT_TRUE(db.NewObject(A(a), {A("Alpha")}).ok());
+  }
+  for (const char* b : {"b1", "b2", "b3"}) {
+    ASSERT_TRUE(db.NewObject(A(b), {A("Beta")}).ok());
+  }
+  const std::string text =
+      "SELECT X, Y FROM Alpha X, Beta Y WHERE X != Y";
+  auto stmt = ParseAndResolve(text, db);
+  ASSERT_TRUE(stmt.ok());
+  Planner planner(db, nullptr);
+  QueryPlan plan = planner.Plan(*stmt->query->simple, nullptr);
+  ASSERT_TRUE(plan.batch_eligible);
+  ASSERT_EQ(plan.from_order, (std::vector<size_t>{0, 1}));  // Alpha outer
+
+  // Both forms emit 6 rows, two one-node SELECT walks each: 12.
+  //
+  // Pure: build Alpha (2) + visit it (2) + build Beta once (3), then
+  // per Alpha binding the prefilter `X != Y` walks its invariant side
+  // once (1), passes over 3 candidates (3), and visits 3 survivors (3).
+  // 2 + 2 + 3 + 2 * (1 + 3 + 3) + 12 = 33.
+  EXPECT_EQ(StepsOf(&db, text, &plan), 33u);
+
+  // Impure (or unplanned): build Alpha (2) + visit it (2), then per
+  // Alpha binding rebuild Beta (3), visit 3 candidates (3), and test
+  // the conjunct at each, walking both sides (3 * 2).
+  // 2 + 2 + 2 * (3 + 3 + 6) + 12 = 40.
+  QueryPlan impure = plan;
+  impure.batch_eligible = false;
+  EXPECT_EQ(StepsOf(&db, text, &impure), 40u);
+  EXPECT_EQ(StepsOf(&db, text, nullptr), 40u);
+}
 
 // ------------------------------------------------ parallel machinery
 
@@ -218,7 +354,7 @@ TEST(ParallelExecTest, FanOutActuallyHappens) {
   const uint64_t parts_before = CounterValue("xsql.exec.partitions");
   WorkerPool pool(3);
   auto out = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                        /*exec_batch=*/true, &pool, 4);
+                        /*use_planner=*/true, &pool, 4);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_GT(out->relation.size(), 0u);
   EXPECT_EQ(CounterValue("xsql.exec.parallel_queries"), queries_before + 1);
@@ -238,7 +374,7 @@ TEST(ParallelExecTest, PlannerMarksEligibilityAndDriverRespectsIt) {
     EXPECT_TRUE(plan.batch_eligible);
     EXPECT_TRUE(plan.parallel_eligible);
   }
-  // UPDATE in the WHERE clause: impure, must stay serial + tuple.
+  // UPDATE in the WHERE clause: impure, must stay serial and uncached.
   {
     auto stmt = ParseAndResolve(
         "SELECT X FROM Employee X WHERE UPDATE X.Salary = 1", db);
@@ -260,7 +396,7 @@ TEST(ParallelExecTest, CancellationReachesWorkersAndPoolSurvives) {
   cancel->RequestCancel();  // cancelled before the statement starts
   ExecutionContext ctx{ExecLimits{}, cancel};
   auto out = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                        /*exec_batch=*/true, &pool, 4, &ctx);
+                        /*use_planner=*/true, &pool, 4, &ctx);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled)
       << out.status().ToString();
@@ -268,7 +404,7 @@ TEST(ParallelExecTest, CancellationReachesWorkersAndPoolSurvives) {
   // The fan-out must have released its workers: the same pool runs the
   // next statement to completion.
   auto again = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                          /*exec_batch=*/true, &pool, 4);
+                          /*use_planner=*/true, &pool, 4);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_GT(again->relation.size(), 0u);
 }
@@ -278,7 +414,7 @@ TEST(ParallelExecTest, RowBudgetTripsIdenticallySerialAndParallel) {
   BuildMediumDb(&db, 13);
   const std::string text = "SELECT X FROM Employee X WHERE X.Salary > 0";
 
-  auto full = RunPlanned(&db, text, /*exec_batch=*/true, nullptr, 0);
+  auto full = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
   ASSERT_TRUE(full.ok());
   const size_t total = full->relation.size();
   ASSERT_GT(total, 4u);
@@ -290,12 +426,12 @@ TEST(ParallelExecTest, RowBudgetTripsIdenticallySerialAndParallel) {
 
     ExecutionContext serial_ctx{limits, nullptr};
     auto serial =
-        RunPlanned(&db, text, /*exec_batch=*/true, nullptr, 0, &serial_ctx);
+        RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0, &serial_ctx);
 
     WorkerPool pool(3);
     ExecutionContext parallel_ctx{limits, nullptr};
     auto parallel =
-        RunPlanned(&db, text, /*exec_batch=*/true, &pool, 4, &parallel_ctx);
+        RunPlanned(&db, text, /*use_planner=*/true, &pool, 4, &parallel_ctx);
 
     // The row budget is charged against one shared pool across the
     // fan-out, so serial and parallel trip (or pass) identically.
@@ -336,7 +472,7 @@ TEST(DomainSnapshotTest, RangeDomainsMaterializeOncePerStatement) {
   const std::string text =
       "SELECT X, W FROM Company X WHERE X.Divisions.Employees[W]";
   const uint64_t before = CounterValue("xsql.eval.domain_materializations");
-  auto out = RunPlanned(&db, text, /*exec_batch=*/true, nullptr, 0);
+  auto out = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   const uint64_t delta =
       CounterValue("xsql.eval.domain_materializations") - before;

@@ -182,7 +182,11 @@ TEST_F(ServerTest, ConnectionCapRejectsLoudly) {
   ASSERT_EQ(connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                     sizeof(addr)),
             0);
-  auto frame = ReadFrame(fd, nullptr);
+  // A bounded read: a regression that never sends the frame fails here
+  // instead of hanging the suite.
+  IoOptions io;
+  io.idle_timeout_ms = 5000;
+  auto frame = ReadFrame(fd, io);
   close(fd);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(static_cast<int>(frame->type),
