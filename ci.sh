@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: a documentation link check, plain build + tests, an
-# ASan+UBSan build + tests, and a TSan build running the
-# concurrent-server and MVCC suites.
+# CI entry point: a documentation link check, plain build + tests, a
+# build of the perfbench benchmark, an ASan+UBSan build + tests, and a
+# TSan build running the concurrent-server and MVCC suites.
 # Usage: ./ci.sh [--plain-only|--sanitize-only|--tsan-only]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -137,6 +137,12 @@ server_smoke() {
 if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   echo "==> plain build + tests"
   run_suite build
+  # Build-only: perfbench compiles the engine straight from src/ and
+  # calls its storage API, so an engine change that breaks the
+  # benchmark fails here first. The benchmark itself is not run.
+  echo "==> perfbench build"
+  cmake -S perfbench -B build/perfbench
+  cmake --build build/perfbench -j "$JOBS"
   # B16 as a machine-readable artifact (build/BENCH_exec.json): serial
   # vs parallel batch execution on the near-quadratic join workloads,
   # diffable across commits. Bounded min-time keeps it a

@@ -104,7 +104,8 @@ Result<EvalOutput> Session::ExecuteParsed(const std::string& text,
     case Statement::Kind::kSystemStatus:
       return SystemStatusOutput();
     default:
-      return ExecuteGuarded(*prepared, /*rollback_always=*/false, read_only);
+      return ExecuteGuarded(*prepared, text, /*rollback_always=*/false,
+                            read_only);
   }
 }
 
@@ -183,6 +184,7 @@ void Session::PrepareStatement(PreparedPlan* prepared) {
 }
 
 Result<EvalOutput> Session::ExecuteGuarded(const PreparedPlan& prepared,
+                                           const std::string& text,
                                            bool rollback_always,
                                            bool read_only) {
   const Statement& stmt = prepared.stmt;
@@ -199,7 +201,7 @@ Result<EvalOutput> Session::ExecuteGuarded(const PreparedPlan& prepared,
   UndoLog undo;
   const bool own_txn = !read_only && !db_->undo_active();
   if (own_txn) db_->BeginUndo(&undo);
-  Result<EvalOutput> out = ExecuteStatement(prepared);
+  Result<EvalOutput> out = ExecuteStatement(prepared, text);
   span.AddSteps(ctx.steps());
   if (out.ok()) span.AddRows(out->relation.size());
   if (own_txn) {
@@ -209,7 +211,8 @@ Result<EvalOutput> Session::ExecuteGuarded(const PreparedPlan& prepared,
   return out;
 }
 
-Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared) {
+Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared,
+                                             const std::string& text) {
   const Statement& stmt = prepared.stmt;
   switch (stmt.kind) {
     case Statement::Kind::kQuery: {
@@ -251,14 +254,11 @@ Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared) {
       // of escalating the first read that mentions it. The minted view
       // objects are deterministic id-terms, so recovery replay and
       // replicas converge on identical state. A failed materialization
-      // fails the whole CREATE VIEW: the undo log withdraws the
-      // database-side state, and the catalog entry is dropped here.
-      Status materialized =
-          views_->Materialize(stmt.create_view->name.str());
-      if (!materialized.ok()) {
-        views_->Drop(stmt.create_view->name.str());
-        return materialized;
-      }
+      // fails the whole CREATE VIEW: the undo log withdraws it all,
+      // catalog entry included.
+      XSQL_RETURN_IF_ERROR(
+          views_->Materialize(stmt.create_view->name.str()));
+      db_->AddDefinition(text);
       EvalOutput out;
       out.relation = Relation({"view"});
       XSQL_RETURN_IF_ERROR(out.relation.AddRow({stmt.create_view->name}));
@@ -266,6 +266,8 @@ Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared) {
     }
     case Statement::Kind::kAlterClass: {
       XSQL_RETURN_IF_ERROR(ApplyAlterClass(db_, *stmt.alter_class));
+      // A plain ADD SIGNATURE is data; a method body is a definition.
+      if (stmt.alter_class->method_def.has_value()) db_->AddDefinition(text);
       EvalOutput out;
       out.relation = Relation({"class"});
       XSQL_RETURN_IF_ERROR(out.relation.AddRow({stmt.alter_class->cls}));
@@ -314,8 +316,9 @@ Result<EvalOutput> Session::ExecuteExplainAnalyze(const Statement& stmt) {
   prepared.stmt.query = stmt.query;
   // Would a plain execution of this query hit the shared cache right
   // now? Reported below; ToString() is how the cache would see it.
-  const bool cached = plans_->Contains(CacheKey(stmt.query->ToString()),
-                                       prepared.db_version);
+  const std::string query_text = stmt.query->ToString();
+  const bool cached =
+      plans_->Contains(CacheKey(query_text), prepared.db_version);
   PrepareStatement(&prepared);
   // Execution phase: fully guarded (budgets, deadline, cancellation all
   // apply) and traced. `rollback_always` withdraws any mutations the
@@ -324,14 +327,14 @@ Result<EvalOutput> Session::ExecuteExplainAnalyze(const Statement& stmt) {
   obs::Tracer tracer;
   obs::ScopedTracer install(&tracer);
   Result<EvalOutput> executed =
-      ExecuteGuarded(prepared, /*rollback_always=*/true,
+      ExecuteGuarded(prepared, query_text, /*rollback_always=*/true,
                      /*read_only=*/false);
   if (!executed.ok()) return executed.status();
   // Render phase: guard-exempt — the work already happened; rendering
   // is proportional to the number of distinct operators.
   EvalOutput out;
   out.relation = Relation({"explain analyze"});
-  std::string header = "query : " + stmt.query->ToString() + "\n" +
+  std::string header = "query : " + query_text + "\n" +
                        "rows  : " +
                        std::to_string(executed->relation.size()) + "\n" +
                        "cache : " + (cached ? "hit" : "miss") + "\n";

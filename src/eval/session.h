@@ -213,12 +213,15 @@ class Session {
   /// but must leave no trace). With `read_only` the undo log and the
   /// shared view-catalog context hook are skipped (see ExecuteReadOnly).
   /// `prepared` carries the statement and the typing/plan computed at
-  /// prepare time.
+  /// prepare time; `text` is the statement as written.
   Result<EvalOutput> ExecuteGuarded(const PreparedPlan& prepared,
+                                    const std::string& text,
                                     bool rollback_always, bool read_only);
 
-  /// The per-kind body: dispatch (context already armed).
-  Result<EvalOutput> ExecuteStatement(const PreparedPlan& prepared);
+  /// The per-kind body: dispatch (context already armed). Definition
+  /// statements record `text` (Database::AddDefinition).
+  Result<EvalOutput> ExecuteStatement(const PreparedPlan& prepared,
+                                      const std::string& text);
 
   /// `EXPLAIN <q>`: the typing/plan report as a relation. Guard-exempt —
   /// nothing is evaluated.

@@ -24,6 +24,9 @@ Status ViewManager::Create(const CreateViewStmt& stmt) {
     return Status::InvalidArgument(
         "view query must have an OID FUNCTION OF clause");
   }
+  db_->RecordUndo([this, name = stmt.name.str()](Database*) {
+    views_.erase(name);
+  });
   views_.emplace(stmt.name.str(), std::move(def));
   return Status::OK();
 }

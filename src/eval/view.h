@@ -51,15 +51,9 @@ class ViewManager : public ViewResolver {
   void set_exec_context(ExecutionContext* ctx) { ctx_ = ctx; }
 
   /// Declares the view class (a subclass of the given superclass), adds
-  /// its signatures, and registers the defining query.
+  /// its signatures, and registers the defining query. Undoable: the
+  /// registration is withdrawn with the statement's undo log.
   Status Create(const CreateViewStmt& stmt);
-
-  /// Unregisters a view definition. The database-side state (the view
-  /// class, signatures, any materialized objects) is *not* touched —
-  /// callers that need it gone roll it back through the undo log. Used
-  /// by the durability layer when a CREATE VIEW executed in memory but
-  /// its WAL record could not be made durable.
-  void Drop(const std::string& name) { views_.erase(name); }
 
   bool IsView(const std::string& fn) const override {
     return views_.contains(fn);

@@ -98,40 +98,35 @@ bool DecodePosition(const std::string& payload, uint64_t* gen,
 }
 
 std::string EncodeBundle(const storage::BootstrapBundle& bundle) {
+  const std::string* images[] = {&bundle.snapshot, &bundle.wal,
+                                 &bundle.dedup};
   std::string out;
   PutU64(&out, bundle.generation);
   PutU64(&out, bundle.wal_records);
-  PutU64(&out, bundle.snapshot.size());
-  PutU64(&out, bundle.ddl.size());
-  PutU64(&out, bundle.wal.size());
-  PutU64(&out, bundle.dedup.size());
-  out += bundle.snapshot;
-  out += bundle.ddl;
-  out += bundle.wal;
-  out += bundle.dedup;
+  for (const std::string* image : images) PutU64(&out, image->size());
+  for (const std::string* image : images) out += *image;
   return out;
 }
 
 bool DecodeBundle(const std::string& blob,
                   storage::BootstrapBundle* bundle) {
-  uint64_t snap_len = 0, ddl_len = 0, wal_len = 0, dedup_len = 0;
+  std::string* images[] = {&bundle->snapshot, &bundle->wal, &bundle->dedup};
   if (!GetU64(blob, 0, &bundle->generation) ||
-      !GetU64(blob, 8, &bundle->wal_records) ||
-      !GetU64(blob, 16, &snap_len) || !GetU64(blob, 24, &ddl_len) ||
-      !GetU64(blob, 32, &wal_len) || !GetU64(blob, 40, &dedup_len)) {
+      !GetU64(blob, 8, &bundle->wal_records)) {
     return false;
   }
-  const uint64_t total = 48 + snap_len + ddl_len + wal_len + dedup_len;
-  if (blob.size() != total) return false;
-  size_t off = 48;
-  bundle->snapshot = blob.substr(off, snap_len);
-  off += snap_len;
-  bundle->ddl = blob.substr(off, ddl_len);
-  off += ddl_len;
-  bundle->wal = blob.substr(off, wal_len);
-  off += wal_len;
-  bundle->dedup = blob.substr(off, dedup_len);
-  return true;
+  size_t off = 40;  // two u64 positions + three u64 lengths
+  for (size_t i = 0; i < 3; ++i) {
+    // Checked against what is left, so a hostile length cannot wrap.
+    uint64_t len = 0;
+    if (!GetU64(blob, 16 + 8 * i, &len) || off > blob.size() ||
+        len > blob.size() - off) {
+      return false;
+    }
+    *images[i] = blob.substr(off, len);
+    off += len;
+  }
+  return off == blob.size();
 }
 
 uint64_t ReplicationHub::Register() {

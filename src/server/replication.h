@@ -28,7 +28,7 @@ namespace server {
 ///      its own prefix matches — the replica's WAL is then provably a
 ///      byte-prefix of the primary's. Otherwise it captures a
 ///      *bootstrap bundle* (exact byte copies of the generation's
-///      snapshot/DDL/WAL/dedup files, taken under the exclusive latch
+///      snapshot/WAL/dedup files, taken under the exclusive latch
 ///      with the group committer drained) and streams it as
 ///      kSnapshotChunk frames closed by kSnapshotDone; the replica
 ///      installs the files verbatim and runs ordinary recovery.
@@ -69,7 +69,7 @@ std::string EncodePosition(uint64_t gen, uint64_t records);
 bool DecodePosition(const std::string& payload, uint64_t* gen,
                     uint64_t* records);
 /// The bootstrap bundle blob carried (chunked) in kSnapshotChunk
-/// frames: six u64-length headers then the four file images.
+/// frames: five u64 headers then the three file images.
 std::string EncodeBundle(const storage::BootstrapBundle& bundle);
 bool DecodeBundle(const std::string& blob, storage::BootstrapBundle* bundle);
 

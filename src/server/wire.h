@@ -34,8 +34,8 @@ namespace server {
 ///               WAL's byte prefix proves it is yours); stream from
 ///               there". A fresh replica sends gen 0.
 ///   kSnapshotChunk / kSnapshotDone  primary → replica bootstrap: the
-///               generation bundle (snapshot, DDL log, WAL, dedup
-///               table) chunked under kMaxFrame; kSnapshotDone carries
+///               generation bundle (snapshot, WAL, dedup table)
+///               chunked under kMaxFrame; kSnapshotDone carries
 ///               `[u64 gen][u64 records]`, the position the stream
 ///               resumes from.
 ///   kWalBatch   primary → replica: `[u64 first_record_index]` then

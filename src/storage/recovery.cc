@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
@@ -46,17 +45,7 @@ StatementClass ClassifyStatement(const std::string& text,
   out.parse_ok = true;
   switch (parsed->kind) {
     case Statement::Kind::kCreateView:
-      out.is_definition = true;
-      out.is_create_view = true;
-      out.is_mutation_kind = true;
-      out.view_name = parsed->create_view->name.str();
-      break;
     case Statement::Kind::kAlterClass:
-      // Plain ADD SIGNATURE is fully captured by the snapshot's SIG
-      // section; only a method-defining SELECT needs DDL replay.
-      out.is_definition = parsed->alter_class->method_def.has_value();
-      out.is_mutation_kind = true;
-      break;
     case Statement::Kind::kUpdateClass:
       out.is_mutation_kind = true;
       break;
@@ -107,7 +96,6 @@ Status DurableDatabase::InitializeFreshDir() {
   Database fresh;
   XSQL_RETURN_IF_ERROR(
       File::WriteAtomic(SnapshotPath(dir_, 1), SaveSnapshot(fresh)));
-  XSQL_RETURN_IF_ERROR(File::WriteAtomic(DdlPath(dir_, 1), Wal::kMagic));
   XSQL_RETURN_IF_ERROR(File::WriteAtomic(WalPath(dir_, 1), Wal::kMagic));
   return File::WriteAtomic(CurrentPath(dir_), "1\n");
 }
@@ -142,29 +130,31 @@ Status DurableDatabase::Recover() {
   XSQL_RETURN_IF_ERROR(LoadSnapshot(snapshot, db_.get()));
   session_ = std::make_unique<Session>(db_.get(), options_.session);
 
-  // Re-install view definitions and query-defined method bodies: the
-  // snapshot holds their *data* (classes, signatures, materialized
-  // objects) but not their executable definitions.
-  std::optional<obs::Span> ddl_span;
-  ddl_span.emplace("recovery/ddl-replay");
-  XSQL_ASSIGN_OR_RETURN(Wal::Scan ddl, Wal::ScanFile(DdlPath(dir_, gen)));
-  if (ddl.torn) {
-    // The DDL log is replaced atomically at checkpoint, never appended
-    // to, so a torn tail means real corruption, not a crash artifact.
-    return Status::InvalidArgument("corrupt DDL log " + DdlPath(dir_, gen) +
-                                   ": " + ddl.torn_detail);
-  }
-  for (size_t i = 0; i < ddl.records.size(); ++i) {
-    Result<EvalOutput> replay = session_->Execute(ddl.records[i]);
-    if (!replay.ok()) {
-      return Status::InvalidArgument(
-          "DDL replay failed at record " + std::to_string(i) + " ('" +
-          ddl.records[i] + "'): " + replay.status().ToString());
+  // Re-install view definitions and query-defined method bodies by
+  // executing the snapshot's definition list; each execution records
+  // its statement again. Before snapshot format 3 the list lived in a
+  // DDL log (written atomically, so a torn one is corrupt); next to a
+  // newer snapshot a DDL log is stale and ignored.
+  std::vector<std::string> definitions = db_->TakeDefinitions();
+  if (SnapshotVersion(snapshot) < 3) {
+    XSQL_ASSIGN_OR_RETURN(Wal::Scan ddl, Wal::ScanFile(DdlPath(dir_, gen)));
+    if (ddl.torn) {
+      return Status::InvalidArgument("corrupt DDL log: " + ddl.torn_detail);
     }
-    ddl_statements_.push_back(ddl.records[i]);
+    definitions = std::move(ddl.records);
   }
-  ddl_span->AddRows(ddl.records.size());
-  ddl_span.reset();
+  {
+    obs::Span ddl_span("recovery/ddl-replay");
+    ddl_span.AddRows(definitions.size());
+    for (const std::string& definition : definitions) {
+      Result<EvalOutput> replay = session_->Execute(definition);
+      if (!replay.ok()) {
+        return Status::InvalidArgument("definition replay failed ('" +
+                                       definition + "'): " +
+                                       replay.status().ToString());
+      }
+    }
+  }
 
   // Re-seed the exactly-once table from the last checkpoint's
   // snapshot of it (absent in pre-dedup directories: empty table).
@@ -185,7 +175,6 @@ Status DurableDatabase::Recover() {
   recovered_torn_tail_ = scan.torn;
   for (size_t i = 0; i < scan.records.size(); ++i) {
     auto [rid, stmt] = DecodeRidPayload(scan.records[i]);
-    StatementClass cls = ClassifyStatement(stmt, *db_);
     Result<EvalOutput> replay = session_->Execute(stmt);
     if (!replay.ok()) {
       return Status::InvalidArgument(
@@ -193,11 +182,10 @@ Status DurableDatabase::Recover() {
           stmt + "'): " + replay.status().ToString());
     }
     if (rid.has_value()) dedup_.Record(*rid, RenderEvalOutput(*replay));
-    if (cls.is_definition) ddl_statements_.push_back(stmt);
   }
   replayed_statements_ = scan.records.size();
   wal_span.AddRows(scan.records.size());
-  replays.Inc(ddl.records.size() + scan.records.size());
+  replays.Inc(definitions.size() + scan.records.size());
 
   XSQL_ASSIGN_OR_RETURN(Wal appender,
                         Wal::OpenAppender(WalPath(dir_, gen),
@@ -219,28 +207,22 @@ Status DurableDatabase::Recover() {
   return Status::OK();
 }
 
-Result<EvalOutput> DurableDatabase::Execute(const std::string& text) {
+Result<EvalOutput> DurableDatabase::ExecuteAtomic(
+    Session* session, const std::string& text,
+    const std::function<Status()>& make_durable) {
   if (wedged()) return WedgedStatus();
   StatementClass cls = ClassifyStatement(text, *db_);
-  const bool view_existed =
-      cls.is_create_view && session_->views().IsView(cls.view_name);
 
   // Run the statement atomically in memory, holding the undo log open
-  // past Session::Execute so the effect can still be withdrawn if the
-  // WAL append fails: acknowledged ⇒ durable, failed ⇒ no trace.
+  // past Session::Execute so the effect can still be withdrawn if it
+  // cannot be made durable: acknowledged ⇒ durable, failed ⇒ no trace.
   const uint64_t version_before = db_->version();
   UndoLog undo;
   db_->BeginUndo(&undo);
-  Result<EvalOutput> out = session_->Execute(text);
+  Result<EvalOutput> out = session->Execute(text);
   db_->EndUndo();
-  auto withdraw = [&]() {
-    db_->Rollback(&undo);
-    if (cls.is_create_view && !view_existed) {
-      session_->views().Drop(cls.view_name);
-    }
-  };
   if (!out.ok()) {
-    withdraw();
+    db_->Rollback(&undo);
     return out;
   }
   if (cls.is_diagnostic) {
@@ -248,28 +230,32 @@ Result<EvalOutput> DurableDatabase::Execute(const std::string& text) {
     // mutations were recorded in this undo log (the session saw an
     // enclosing transaction and left rollback to us): withdraw them so
     // analyzing a mutating query durably leaves no trace.
-    if (db_->version() != version_before) withdraw();
+    if (db_->version() != version_before) db_->Rollback(&undo);
     return out;
   }
   if (db_->version() == version_before) return out;  // read-only
 
-  Status append = wal_->Append(text);
-  if (!append.ok()) {
-    withdraw();
+  Status durable = make_durable();
+  if (!durable.ok()) {
+    db_->Rollback(&undo);
     if (FaultInjector::Global().crashed_for(dir_)) Wedge();
-    return append;
-  }
-  ++records_since_checkpoint_;
-  if (cls.is_definition) ddl_statements_.push_back(text);
-
-  if (options_.checkpoint_every != 0 &&
-      records_since_checkpoint_ >= options_.checkpoint_every) {
-    // The statement is already durable in the current generation; a
-    // failed rotation only matters if the process died.
-    Status rotated = Checkpoint();
-    (void)rotated;
+    return durable;
   }
   return out;
+}
+
+Result<EvalOutput> DurableDatabase::Execute(const std::string& text) {
+  return ExecuteAtomic(session_.get(), text, [&]() -> Status {
+    XSQL_RETURN_IF_ERROR(wal_->Append(text));
+    ++records_since_checkpoint_;
+    if (options_.checkpoint_every != 0 &&
+        records_since_checkpoint_ >= options_.checkpoint_every) {
+      // The statement is already durable in the current generation; a
+      // failed rotation only matters if the process died.
+      (void)Checkpoint();
+    }
+    return Status::OK();
+  });
 }
 
 Result<Relation> DurableDatabase::Query(const std::string& text) {
@@ -281,49 +267,14 @@ Result<EvalOutput> DurableDatabase::ExecuteForCommit(
     Session* session, const std::string& text, GroupCommitter* committer,
     uint64_t* ticket, const RequestId* rid) {
   *ticket = 0;
-  if (wedged()) return WedgedStatus();
-  StatementClass cls = ClassifyStatement(text, *db_);
-  const bool view_existed =
-      cls.is_create_view && session->views().IsView(cls.view_name);
-
-  // Same in-memory atomicity as Execute: hold the undo log open past
-  // Session::Execute so a failed statement leaves no trace. Durability
-  // differs — instead of an inline fsync, the record is enqueued for
-  // group commit and the caller waits for its ticket after releasing
-  // the statement latch.
-  const uint64_t version_before = db_->version();
-  UndoLog undo;
-  db_->BeginUndo(&undo);
-  Result<EvalOutput> out = session->Execute(text);
-  db_->EndUndo();
-  auto withdraw = [&]() {
-    db_->Rollback(&undo);
-    if (cls.is_create_view && !view_existed) {
-      session->views().Drop(cls.view_name);
-    }
-  };
-  if (!out.ok()) {
-    withdraw();
-    return out;
-  }
-  if (cls.is_diagnostic) {
-    // Diagnostics never reach the WAL; withdraw EXPLAIN ANALYZE's
-    // scratch mutations (see Execute).
-    if (db_->version() != version_before) withdraw();
-    return out;
-  }
-  if (db_->version() == version_before) return out;  // read-only
-
-  // Enqueue while the caller still holds the exclusive latch: ticket
-  // order == execution order, which recovery's serial replay needs.
-  // DDL bookkeeping happens here too — if the batch later fails the
-  // whole instance wedges, so a bookkeeping entry for a never-durable
-  // statement can never leak into a checkpoint.
-  *ticket = committer->Enqueue(
-      rid == nullptr ? text : EncodeRidPayload(*rid, text));
-  ++records_since_checkpoint_;
-  if (cls.is_definition) ddl_statements_.push_back(text);
-  return out;
+  // Enqueued under the caller's exclusive latch: ticket order ==
+  // execution order, which recovery's serial replay needs.
+  return ExecuteAtomic(session, text, [&]() -> Status {
+    *ticket = committer->Enqueue(
+        rid == nullptr ? text : EncodeRidPayload(*rid, text));
+    ++records_since_checkpoint_;
+    return Status::OK();
+  });
 }
 
 Status DurableDatabase::Checkpoint() {
@@ -338,7 +289,6 @@ Status DurableDatabase::Checkpoint() {
     } else {
       // The rotation never committed; drop the half-built generation.
       (void)File::Remove(SnapshotPath(dir_, next));
-      (void)File::Remove(DdlPath(dir_, next));
       (void)File::Remove(WalPath(dir_, next));
       (void)File::Remove(DedupPath(dir_, next));
     }
@@ -347,12 +297,6 @@ Status DurableDatabase::Checkpoint() {
 
   Status st = File::WriteAtomic(SnapshotPath(dir_, next),
                                 SaveSnapshot(*db_));
-  if (!st.ok()) return fail(std::move(st));
-  std::string ddl(Wal::kMagic);
-  for (const std::string& stmt : ddl_statements_) {
-    ddl += Wal::EncodeRecord(stmt);
-  }
-  st = File::WriteAtomic(DdlPath(dir_, next), ddl);
   if (!st.ok()) return fail(std::move(st));
   st = File::WriteAtomic(WalPath(dir_, next), Wal::kMagic);
   if (!st.ok()) return fail(std::move(st));
@@ -415,7 +359,6 @@ Result<uint64_t> DurableDatabase::ApplyReplicated(
   span.AddRows(records.size());
   for (const std::string& record : records) {
     auto [rid, stmt] = DecodeRidPayload(record);
-    StatementClass cls = ClassifyStatement(stmt, *db_);
     Result<EvalOutput> out = session_->Execute(stmt);
     if (!out.ok()) {
       // The primary committed this statement; a replica that cannot
@@ -425,7 +368,6 @@ Result<uint64_t> DurableDatabase::ApplyReplicated(
                                   "'): " + out.status().ToString());
     }
     if (rid.has_value()) dedup_.Record(*rid, RenderEvalOutput(*out));
-    if (cls.is_definition) ddl_statements_.push_back(stmt);
   }
   // The shipped records land verbatim — the replica WAL stays a
   // byte-prefix of the primary's — with one write and one fsync.
@@ -446,8 +388,6 @@ Result<BootstrapBundle> DurableDatabase::ReadBootstrapBundle() {
   bundle.generation = generation();
   XSQL_ASSIGN_OR_RETURN(bundle.snapshot,
                         File::ReadAll(SnapshotPath(dir_, bundle.generation)));
-  XSQL_ASSIGN_OR_RETURN(bundle.ddl,
-                        File::ReadAll(DdlPath(dir_, bundle.generation)));
   XSQL_ASSIGN_OR_RETURN(bundle.wal,
                         File::ReadAll(WalPath(dir_, bundle.generation)));
   if (File::Exists(DedupPath(dir_, bundle.generation))) {
@@ -471,7 +411,6 @@ Status DurableDatabase::InstallBootstrapBundle(const std::string& dir,
   XSQL_RETURN_IF_ERROR(File::EnsureDir(dir));
   XSQL_RETURN_IF_ERROR(
       File::WriteAtomic(SnapshotPath(dir, b.generation), b.snapshot));
-  XSQL_RETURN_IF_ERROR(File::WriteAtomic(DdlPath(dir, b.generation), b.ddl));
   XSQL_RETURN_IF_ERROR(File::WriteAtomic(WalPath(dir, b.generation), b.wal));
   if (!b.dedup.empty()) {
     XSQL_RETURN_IF_ERROR(

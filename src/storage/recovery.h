@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,17 +19,12 @@ namespace xsql {
 namespace storage {
 
 /// How a statement interacts with the durability and concurrency
-/// layers. Definition statements install state (view definitions,
-/// query-defined method bodies) that snapshots cannot carry, so they
-/// are carried forward in the per-generation DDL log and replayed on
-/// open. Mutation-kind and object-creating statements tell the server
-/// which latch mode a statement needs *before* running it.
+/// layers. Mutation-kind and object-creating statements tell the
+/// server which latch mode a statement needs *before* running it.
 struct StatementClass {
   /// The text parsed and resolved. Unparseable statements cannot
   /// execute either, so every other field is trustworthy only when set.
   bool parse_ok = false;
-  bool is_definition = false;
-  bool is_create_view = false;
   /// EXPLAIN [ANALYZE] / SYSTEM METRICS: never appended to the WAL.
   /// EXPLAIN ANALYZE may bump the in-memory version counter while it
   /// executes-and-rolls-back, so the version check alone cannot be
@@ -44,12 +40,11 @@ struct StatementClass {
   /// A query with an OID FUNCTION clause anywhere in its expression
   /// tree: evaluating it mints objects, i.e. a SELECT that writes.
   bool creates_objects = false;
-  std::string view_name;
 };
 
-/// Classifies `text` against the current schema. Used by recovery (DDL
-/// carry-forward), the durable Execute path (WAL append decision), and
-/// the concurrent server (statement-mode classification).
+/// Classifies `text` against the current schema. Used by the durable
+/// Execute paths (WAL append decision) and the concurrent server
+/// (statement-mode classification).
 StatementClass ClassifyStatement(const std::string& text,
                                  const Database& db);
 
@@ -85,14 +80,13 @@ struct WalPoint {
 /// A complete, self-consistent copy of one generation's on-disk files,
 /// taken under the exclusive latch with the group committer drained so
 /// disk ≡ memory at the instant of capture. A replica installs the
-/// four images verbatim and runs ordinary recovery on them; its WAL is
+/// three images verbatim and runs ordinary recovery on them; its WAL is
 /// then a byte-prefix of the primary's, which is what lets a local
 /// record count double as a replication position.
 struct BootstrapBundle {
   uint64_t generation = 0;
   uint64_t wal_records = 0;  // records in `wal` (the resume position)
   std::string snapshot;
-  std::string ddl;
   std::string wal;
   std::string dedup;  // empty when the generation has no dedup table
 };
@@ -103,21 +97,19 @@ struct BootstrapBundle {
 /// Directory layout (generation `g`, an incrementing integer):
 ///
 ///     CURRENT          "g\n" — which generation is live
-///     snapshot-g.db    canonical snapshot at the last checkpoint
-///     ddl-g.log        definition statements (CREATE VIEW / method-
-///                      defining ALTER CLASS) executed before the
-///                      checkpoint, in WAL record format — snapshots
-///                      cannot carry view/method *bodies*, so recovery
-///                      re-installs them by replaying their DDL
+///     snapshot-g.db    canonical snapshot at the last checkpoint,
+///                      definition statements included
 ///     wal-g.log        statements executed after the checkpoint
+///     dedup-g.tab      the exactly-once request table (when non-empty)
 ///
-/// Opening = load `snapshot-g.db`, replay `ddl-g.log`, then replay the
-/// valid prefix of `wal-g.log`, truncating any torn tail at the first
-/// bad length/checksum. Execute = run the statement atomically in
-/// memory; if it mutated the database, append it to the WAL and fsync
-/// *before* acknowledging — on append failure the in-memory effect is
-/// rolled back, so an acknowledged statement is durable and a failed
-/// one leaves no trace. Checkpoint = write generation g+1's files,
+/// Opening = load `snapshot-g.db`, re-execute its definitions, then
+/// replay the valid prefix of `wal-g.log`, truncating any torn tail at
+/// the first bad length/checksum (a legacy `ddl-g.log` is read only
+/// under a version-1/2 snapshot). Execute = run the statement
+/// atomically in memory; if it mutated the database, append it to the
+/// WAL and fsync *before* acknowledging — on append failure the
+/// in-memory effect is rolled back, so an acknowledged statement is
+/// durable and a failed one leaves no trace. Checkpoint = write generation g+1's files,
 /// then atomically flip CURRENT; a crash at any byte of the rotation
 /// leaves either generation fully intact.
 class DurableDatabase {
@@ -165,8 +157,8 @@ class DurableDatabase {
                                       uint64_t* ticket,
                                       const RequestId* rid = nullptr);
 
-  /// Rotates snapshot + DDL log + WAL into a new generation. Logical
-  /// state is unchanged; a crash mid-rotation is always recoverable.
+  /// Rotates snapshot + WAL into a new generation. Logical state is
+  /// unchanged; a crash mid-rotation is always recoverable.
   Status Checkpoint();
 
   // ---- Replication ---------------------------------------------------
@@ -187,7 +179,7 @@ class DurableDatabase {
   /// Thread-safe (this is what the replication shipper polls).
   WalPoint DurableWalPoint() const;
 
-  /// Captures the current generation's four files for replica
+  /// Captures the current generation's three files for replica
   /// bootstrap. The caller must hold the exclusive latch with the
   /// committer drained (disk ≡ memory). Pins the generation against
   /// pruning; the caller unpins when the transfer is over.
@@ -260,6 +252,12 @@ class DurableDatabase {
   Status Recover();
   Status InitializeFreshDir();
 
+  /// The shared body of Execute and ExecuteForCommit: runs `text`
+  /// atomically through `session` and, if it mutated the database,
+  /// calls `make_durable`; on failure the effect is withdrawn.
+  Result<EvalOutput> ExecuteAtomic(Session* session, const std::string& text,
+                                   const std::function<Status()>& make_durable);
+
   std::string dir_;
   DurableOptions options_;
   /// Atomic because the replication shipper reads it off-latch; the
@@ -281,8 +279,6 @@ class DurableDatabase {
   mutable std::mutex pin_mu_;
   std::map<uint64_t, uint64_t> pinned_generations_;
   DedupTable dedup_;
-  /// Definition statements to carry into the next checkpoint's DDL log.
-  std::vector<std::string> ddl_statements_;
   uint64_t records_since_checkpoint_ = 0;
   uint64_t replayed_statements_ = 0;
   bool recovered_torn_tail_ = false;

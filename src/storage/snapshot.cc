@@ -15,10 +15,11 @@ namespace storage {
 
 namespace {
 
-// Version 2 escapes newlines/backslashes in payloads; version 1 (no
-// escaping, could not represent embedded newlines) is still loadable.
-constexpr const char* kHeader = "XSQL-SNAPSHOT 2";
-constexpr const char* kHeaderV1 = "XSQL-SNAPSHOT 1";
+// Version 3 adds DEF records; version 2 escapes newlines/backslashes
+// in payloads; version 1 (no escaping, could not represent embedded
+// newlines) is still loadable.
+constexpr const char* kHeaderPrefix = "XSQL-SNAPSHOT ";
+constexpr int kVersion = 3;
 
 Status Malformed(const std::string& what, size_t pos) {
   return Status::InvalidArgument("malformed snapshot: " + what +
@@ -198,8 +199,16 @@ Result<Oid> DecodeOid(const std::string& text, size_t* pos) {
   }
 }
 
+int SnapshotVersion(const std::string& text) {
+  const std::string first = text.substr(0, text.find('\n'));
+  for (int version = 1; version <= kVersion; ++version) {
+    if (first == kHeaderPrefix + std::to_string(version)) return version;
+  }
+  return 0;
+}
+
 std::string SaveSnapshot(const Database& db) {
-  std::string out = kHeader;
+  std::string out = kHeaderPrefix + std::to_string(kVersion);
   out += '\n';
   auto emit_oid = [&out](const Oid& oid) { EncodeOid(oid, &out); };
 
@@ -281,6 +290,13 @@ std::string SaveSnapshot(const Database& db) {
       }
       out += '\n';
     }
+  }
+  // Definitions last, in execution order: recovery re-executes them
+  // over the state the records above restore.
+  for (const std::string& definition : db.definitions()) {
+    out += "DEF ";
+    emit_oid(Oid::String(definition));
+    out += '\n';
   }
   return out;
 }
@@ -412,6 +428,13 @@ Status ApplyLine(const std::string& record, LineCursor* cursor,
     }
     return Malformed("bad ATTR kind '" + kind + "'", 0);
   }
+  if (record == "DEF") {
+    XSQL_ASSIGN_OR_RETURN(Oid text, cursor->NextOid());
+    XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
+    if (!text.is_string()) return Malformed("DEF payload not a string", 0);
+    db->AddDefinition(text.str());
+    return Status::OK();
+  }
   return Malformed("unknown record '" + record + "'", 0);
 }
 
@@ -420,7 +443,7 @@ Status ApplyLine(const std::string& record, LineCursor* cursor,
 Status LoadSnapshot(const std::string& text, Database* db) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || (line != kHeader && line != kHeaderV1)) {
+  if (!std::getline(in, line) || SnapshotVersion(line) == 0) {
     return Status::InvalidArgument("not an XSQL snapshot (bad header)");
   }
   size_t line_no = 1;

@@ -12,25 +12,30 @@ namespace storage {
 
 /// Durable snapshots of a Database: a line-oriented text format holding
 /// the full schema (classes, IS-A edges, signatures), the instance-of
-/// relation, and every object with its attribute values. Oids are
-/// encoded self-delimiting (length-prefixed payloads), so arbitrary
-/// strings and nested id-terms round-trip byte-exactly.
+/// relation, every object with its attribute values, and the definition
+/// statements (`DEF` records). Oids are encoded self-delimiting
+/// (length-prefixed payloads), so arbitrary strings and nested id-terms
+/// round-trip byte-exactly.
 ///
 /// Not persisted (by design, documented): method *bodies* (native
 /// functions cannot be serialized; query-defined methods and views are
-/// re-installed by replaying their DDL, which callers own) and the
-/// version counter (a loaded database starts fresh).
+/// re-installed by executing the restored definitions, which callers
+/// own) and the version counter (a loaded database starts fresh).
 ///
-/// Format version 2: payloads escape `\` as `\\` and newline as `\n`
+/// Format version 3: payloads escape `\` as `\\` and newline as `\n`
 /// (length prefixes count escaped bytes), so strings and atoms with
-/// embedded newlines round-trip. Version-1 snapshots still load. Output
-/// is canonical — sections backed by unordered containers are emitted
-/// in sorted oid order — so two equal databases (and a database before
-/// a statement vs. after that statement rolled back) snapshot to
-/// byte-identical text.
+/// embedded newlines round-trip. Versions 1 and 2 (no `DEF` records)
+/// still load. Output is canonical — sections backed by unordered
+/// containers are emitted in sorted oid order — so two equal databases
+/// (and a database before a statement vs. after that statement rolled
+/// back) snapshot to byte-identical text.
 
 /// Serializes the database.
 std::string SaveSnapshot(const Database& db);
+
+/// The format version in the header line of `text` (1 to 3), or 0 when
+/// `text` is not a snapshot.
+int SnapshotVersion(const std::string& text);
 
 /// Restores a snapshot produced by SaveSnapshot into `db`, which should
 /// be freshly constructed (builtins are reconciled, everything else is

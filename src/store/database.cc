@@ -33,6 +33,7 @@ Database::Database(ForkTag, const Database& src)
       signatures_(src.signatures_),
       methods_(src.methods_),
       objects_(src.objects_),
+      definitions_(src.definitions_),
       version_(src.version_),
       cow_epoch_(src.cow_epoch_ + 1),
       active_domain_(src.active_domain_),
@@ -250,6 +251,17 @@ Status Database::RemoveInstanceOf(const Oid& oid, const Oid& cls) {
   graph_.RemoveInstance(oid, cls);
   Touch();
   return Status::OK();
+}
+
+void Database::AddDefinition(std::string text) {
+  // Truncating to the earlier length is a no-op if the append never
+  // happened, as the undo protocol requires.
+  RecordUndo([prior = definitions_.size()](Database* db) {
+    if (db->definitions_.size() > prior) db->definitions_.resize(prior);
+  });
+  // No Touch(): nothing version-keyed reads the list, and bumping the
+  // version here would stale the view CREATE VIEW just materialized.
+  definitions_.push_back(std::move(text));
 }
 
 void Database::Rollback(UndoLog* log) {

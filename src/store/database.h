@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -51,10 +52,11 @@ class Database {
 
   /// A structurally-shared copy for MVCC: shares every object-map shard,
   /// class-graph node, and the active-domain cache with `this`; copies
-  /// the (schema-sized) signature and method stores. The fork starts a
-  /// new COW epoch, so its first write to any shared piece clones it.
-  /// The active-domain cache is prewarmed first so the fork's mutable
-  /// lazy members never need a rebuild unless the fork itself mutates.
+  /// the (schema-sized) signature and method stores and definitions.
+  /// The fork starts a new COW epoch, so its first write to any shared
+  /// piece clones it. The active-domain cache is prewarmed first so the
+  /// fork's mutable lazy members never need a rebuild unless the fork
+  /// itself mutates.
   ///
   /// If *this* database keeps mutating after the fork (the writer path:
   /// master forks a snapshot, then executes the next statement), the
@@ -115,6 +117,19 @@ class Database {
   /// raw `mutable_graph().RemoveInstance` escape hatch).
   Status RemoveInstanceOf(const Oid& oid, const Oid& cls);
 
+  // ---- Definitions --------------------------------------------------
+
+  /// Records an executed definition statement (CREATE VIEW or a
+  /// method-defining ALTER CLASS): view and query-method bodies are
+  /// executable, not data, so snapshots carry these statements and
+  /// recovery re-executes them in order. Undoable.
+  void AddDefinition(std::string text);
+  const std::vector<std::string>& definitions() const { return definitions_; }
+  /// Empties and returns the list (not undoable; for recovery).
+  std::vector<std::string> TakeDefinitions() {
+    return std::exchange(definitions_, {});
+  }
+
   // ---- Statement atomicity ------------------------------------------
 
   /// Starts recording inverse mutations into `log`. Every public mutator
@@ -127,6 +142,13 @@ class Database {
   /// Applies `log` in reverse. Recording is suspended while rolling back
   /// (inverses must not record further inverses or trip fault checks).
   void Rollback(UndoLog* log);
+
+  /// Records `inverse` while a log is active, for state a statement
+  /// mutates outside the database (the view catalog). Same protocol as
+  /// the built-in inverses: record first, tolerate a missing mutation.
+  void RecordUndo(UndoLog::Action inverse) {
+    if (undo_ != nullptr) undo_->Record(std::move(inverse));
+  }
 
   // ---- Lookup -------------------------------------------------------
 
@@ -240,6 +262,7 @@ class Database {
   SignatureStore signatures_;
   MethodRegistry methods_;
   std::array<std::shared_ptr<ObjectShard>, kObjectShards> objects_;
+  std::vector<std::string> definitions_;
   UndoLog* undo_ = nullptr;
   uint64_t version_ = 0;
   /// Copy-on-write epoch: shards/nodes stamped with an older epoch are

@@ -91,8 +91,9 @@ TEST_F(DurabilityTest, FreshDirectoryInitializes) {
   EXPECT_FALSE(dd->recovered_torn_tail());
   EXPECT_TRUE(File::Exists(DD::CurrentPath(dir_)));
   EXPECT_TRUE(File::Exists(DD::SnapshotPath(dir_, 1)));
-  EXPECT_TRUE(File::Exists(DD::DdlPath(dir_, 1)));
   EXPECT_TRUE(File::Exists(DD::WalPath(dir_, 1)));
+  // Definitions ride in the snapshot; there is no DDL log any more.
+  EXPECT_FALSE(File::Exists(DD::DdlPath(dir_, 1)));
 }
 
 TEST_F(DurabilityTest, StatementsPersistAcrossReopen) {
@@ -279,6 +280,171 @@ TEST_F(DurabilityTest, WedgedAfterCrashUntilReopen) {
   auto re = MustOpen(dir_);
   ASSERT_NE(re, nullptr);
   EXPECT_FALSE(re->wedged());
+}
+
+// A directory written before snapshot format 3: a version-2 snapshot,
+// the definitions in `ddl-1.log`, and one more definition in the WAL
+// tail. Opening upgrades it in memory; the next checkpoint writes no
+// DDL log, and the definitions keep answering across reopens.
+TEST_F(DurabilityTest, LegacyDdlLogLayoutUpgrades) {
+  const std::string whisper =
+      "ALTER CLASS Class ADD SIGNATURE Whisper => String "
+      "SELECT (Whisper) = N FROM Class X OID X WHERE X.Motto[N]";
+  // The legacy generation's state: a checkpoint taken right after
+  // Prelude() + Definitions(). Old snapshots held everything but the
+  // DEF records, under a version-2 header.
+  std::string legacy_snapshot;
+  std::vector<std::string> legacy_ddl;
+  {
+    const std::string src = dir_ + "_src";
+    std::filesystem::remove_all(src);
+    auto dd = MustOpen(src);
+    ASSERT_NE(dd, nullptr);
+    MustExecute(dd.get(), Prelude());
+    MustExecute(dd.get(), Definitions());
+    legacy_ddl = dd->db().definitions();
+    const std::string v3 = SaveSnapshot(dd->db());
+    ASSERT_EQ(SnapshotVersion(v3), 3);
+    legacy_snapshot = "XSQL-SNAPSHOT 2\n";
+    size_t pos = v3.find('\n') + 1;
+    while (pos < v3.size()) {
+      const size_t end = v3.find('\n', pos) + 1;
+      const std::string line = v3.substr(pos, end - pos);
+      if (line.rfind("DEF ", 0) != 0) legacy_snapshot += line;
+      pos = end;
+    }
+    dd.reset();
+    std::filesystem::remove_all(src);
+  }
+  ASSERT_EQ(legacy_ddl.size(), 2u);  // the CREATE VIEW and Shout
+  std::string ddl_log(Wal::kMagic);
+  for (const std::string& stmt : legacy_ddl) {
+    ddl_log += Wal::EncodeRecord(stmt);
+  }
+  ASSERT_TRUE(File::EnsureDir(dir_).ok());
+  ASSERT_TRUE(
+      File::WriteAtomic(DD::SnapshotPath(dir_, 1), legacy_snapshot).ok());
+  ASSERT_TRUE(File::WriteAtomic(DD::DdlPath(dir_, 1), ddl_log).ok());
+  ASSERT_TRUE(File::WriteAtomic(DD::WalPath(dir_, 1),
+                                std::string(Wal::kMagic) +
+                                    Wal::EncodeRecord(whisper))
+                  .ok());
+  ASSERT_TRUE(File::WriteAtomic(DD::CurrentPath(dir_), "1\n").ok());
+
+  auto expect_definitions_answer = [](DD* dd) {
+    auto view = dd->Query("SELECT T FROM Class X WHERE Mottos(X).M[T]");
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ASSERT_EQ(view->size(), 1u);
+    EXPECT_EQ(view->rows()[0][0], Oid::String("people first"));
+    for (const char* method : {"Shout", "Whisper"}) {
+      auto out = dd->Query(std::string("SELECT T WHERE Person.") + method +
+                           "[T]");
+      ASSERT_TRUE(out.ok()) << method << ": " << out.status().ToString();
+      ASSERT_EQ(out->size(), 1u) << method;
+      EXPECT_EQ(out->rows()[0][0], Oid::String("people first")) << method;
+    }
+  };
+  std::vector<std::string> expected_defs = legacy_ddl;
+  expected_defs.push_back(whisper);
+  std::string acked;
+  {
+    DurableOptions options;
+    options.retain_generations = 1;
+    auto dd = MustOpen(dir_, options);
+    ASSERT_NE(dd, nullptr);
+    EXPECT_EQ(dd->replayed_statements(), 1u);
+    EXPECT_EQ(dd->db().definitions(), expected_defs);
+    expect_definitions_answer(dd.get());
+    ASSERT_TRUE(dd->Checkpoint().ok());
+    EXPECT_EQ(dd->generation(), 2u);
+    EXPECT_TRUE(File::Exists(DD::SnapshotPath(dir_, 2)));
+    EXPECT_FALSE(File::Exists(DD::DdlPath(dir_, 2)));
+    EXPECT_FALSE(File::Exists(DD::DdlPath(dir_, 1)));  // pruned
+    acked = SaveSnapshot(dd->db());
+  }
+  auto dd = MustOpen(dir_);
+  ASSERT_NE(dd, nullptr);
+  EXPECT_EQ(dd->replayed_statements(), 0u);
+  EXPECT_EQ(SaveSnapshot(dd->db()), acked);
+  EXPECT_EQ(dd->db().definitions(), expected_defs);
+  expect_definitions_answer(dd.get());
+}
+
+// A stale DDL log beside a version-3 snapshot — what a replica
+// directory reused from an older life looks like after a bootstrap
+// bundle is installed over it — is ignored, not replayed.
+TEST_F(DurabilityTest, StaleDdlLogBesideCurrentSnapshotIsIgnored) {
+  const std::string primary_dir = dir_ + "_primary";
+  std::filesystem::remove_all(primary_dir);
+  BootstrapBundle bundle;
+  std::string acked;
+  {
+    auto primary = MustOpen(primary_dir);
+    ASSERT_NE(primary, nullptr);
+    MustExecute(primary.get(), Prelude());
+    ASSERT_TRUE(primary->Checkpoint().ok());
+    auto read = primary->ReadBootstrapBundle();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    bundle = std::move(*read);
+    primary->UnpinGeneration(bundle.generation);
+    acked = SaveSnapshot(primary->db());
+  }
+  std::filesystem::remove_all(primary_dir);
+  ASSERT_EQ(SnapshotVersion(bundle.snapshot), 3);
+
+  ASSERT_TRUE(File::EnsureDir(dir_).ok());
+  ASSERT_TRUE(File::WriteAtomic(
+                  DD::DdlPath(dir_, bundle.generation),
+                  std::string(Wal::kMagic) +
+                      Wal::EncodeRecord(
+                          "CREATE VIEW Names AS SUBCLASS OF Object "
+                          "SIGNATURE N => String SELECT N = X.Name "
+                          "FROM Person X OID FUNCTION OF X WHERE X.Name[N]"))
+                  .ok());
+  ASSERT_TRUE(DD::InstallBootstrapBundle(dir_, bundle).ok());
+
+  auto dd = MustOpen(dir_);
+  ASSERT_NE(dd, nullptr);
+  EXPECT_EQ(dd->generation(), bundle.generation);
+  EXPECT_FALSE(dd->session().views().IsView("Names"));
+  EXPECT_TRUE(dd->db().definitions().empty());
+  EXPECT_EQ(SaveSnapshot(dd->db()), acked);
+}
+
+// A WAL-append failure on a CREATE VIEW withdraws the whole statement:
+// the catalog entry, the materialized objects, and the entry in the
+// definition list (which SaveSnapshot serializes, so byte equality
+// proves the list's undo entry ran).
+TEST_F(DurabilityTest, WalAppendFailureWithdrawsDefinition) {
+  FaultInjector& fi = FaultInjector::Global();
+  auto dd = MustOpen(dir_);
+  ASSERT_NE(dd, nullptr);
+  MustExecute(dd.get(), Prelude());
+  const std::string pre = SaveSnapshot(dd->db());
+  const std::string stmt =
+      "CREATE VIEW Names AS SUBCLASS OF Object SIGNATURE N => String "
+      "SELECT N = X.Name FROM Person X OID FUNCTION OF X WHERE X.Name[N]";
+
+  size_t injected = 0;
+  for (uint64_t n = 1;; ++n) {
+    ASSERT_LT(n, 100u) << "statement never ran clean";
+    fi.ArmNth(FaultInjector::Domain::kIo, n);
+    auto out = dd->Execute(stmt);
+    const bool fired = fi.fired();
+    fi.Disarm();
+    if (out.ok()) {
+      EXPECT_FALSE(fired);
+      break;
+    }
+    ++injected;
+    EXPECT_FALSE(dd->wedged()) << "n=" << n;
+    EXPECT_EQ(SaveSnapshot(dd->db()), pre) << "n=" << n;
+    EXPECT_TRUE(dd->db().definitions().empty()) << "n=" << n;
+    EXPECT_FALSE(dd->session().views().IsView("Names")) << "n=" << n;
+  }
+  EXPECT_GE(injected, 1u);
+  EXPECT_EQ(dd->db().definitions(), std::vector<std::string>{stmt});
+  EXPECT_NE(SaveSnapshot(dd->db()), pre);
 }
 
 // ---- The crash-point property tests ----------------------------------

@@ -359,6 +359,31 @@ TEST_F(FaultInjectionTest, AtomicScriptRollsBackWholePrefix) {
   EXPECT_TRUE(db_.signatures().Declared(A("Employee"), A("Bonus")).empty());
 }
 
+TEST_F(FaultInjectionTest, AtomicScriptRollsBackViewAndDefinitions) {
+  // Definitions roll back like data: the view catalog entry and the
+  // definition list both return to their pre-script state.
+  std::string before = storage::SaveSnapshot(db_);
+  auto out = session_->ExecuteScript(
+      "CREATE VIEW CoNames AS SUBCLASS OF Object "
+      "SIGNATURE TheName => String "
+      "SELECT TheName = X.Name FROM Company X OID FUNCTION OF X;"
+      "ALTER CLASS Company ADD SIGNATURE Motto => String "
+      "SELECT (Motto) = N FROM Company X OID X WHERE X.Name[N];"
+      "THIS IS NOT A STATEMENT",
+      /*atomic=*/true);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(storage::SaveSnapshot(db_), before);
+  EXPECT_TRUE(db_.definitions().empty());
+  EXPECT_FALSE(session_->views().IsView("CoNames"));
+  // The name is free again: re-creating the view succeeds.
+  auto again = session_->Execute(
+      "CREATE VIEW CoNames AS SUBCLASS OF Object "
+      "SIGNATURE TheName => String "
+      "SELECT TheName = X.Name FROM Company X OID FUNCTION OF X");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(db_.definitions().size(), 1u);
+}
+
 TEST_F(FaultInjectionTest, AtomicScriptCommitsOnSuccess) {
   auto out = session_->ExecuteScript(
       "ALTER CLASS Employee ADD SIGNATURE Bonus => Numeral;"

@@ -88,8 +88,7 @@ TEST(ReplicationCodecTest, BundleRoundTrip) {
   BootstrapBundle bundle;
   bundle.generation = 5;
   bundle.wal_records = 42;
-  bundle.snapshot = "SNAPSHOT IMAGE";
-  bundle.ddl = std::string("DDL\0WITH NUL", 12);
+  bundle.snapshot = std::string("SNAPSHOT\0WITH NUL", 17);
   bundle.wal = "XSQL-WAL 1\nrecords...";
   bundle.dedup = "";
   const std::string blob = EncodeBundle(bundle);
@@ -98,12 +97,20 @@ TEST(ReplicationCodecTest, BundleRoundTrip) {
   EXPECT_EQ(decoded.generation, 5u);
   EXPECT_EQ(decoded.wal_records, 42u);
   EXPECT_EQ(decoded.snapshot, bundle.snapshot);
-  EXPECT_EQ(decoded.ddl, bundle.ddl);
   EXPECT_EQ(decoded.wal, bundle.wal);
   EXPECT_EQ(decoded.dedup, bundle.dedup);
   // A blob whose section lengths disagree with its size is rejected.
   EXPECT_FALSE(DecodeBundle(blob.substr(0, blob.size() - 1), &decoded));
   EXPECT_FALSE(DecodeBundle("short", &decoded));
+  // Lengths that sum to the blob size only modulo 2^64 are rejected.
+  std::string wrapped = blob;
+  const uint64_t lens[3] = {~0ull, 1, blob.size() - 40};
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t b = 0; b < 8; ++b) {
+      wrapped[16 + 8 * i + b] = static_cast<char>(lens[i] >> (8 * b));
+    }
+  }
+  EXPECT_FALSE(DecodeBundle(wrapped, &decoded));
 }
 
 // ---------------------------------------------------------------------
@@ -353,6 +360,48 @@ TEST_F(ReplicationTest, CheckpointRotationRebootstrapsMidStream) {
   ExpectWalBytePrefix();
   EXPECT_EQ(storage::SaveSnapshot(node_->durable()->db()),
             storage::SaveSnapshot(dd_->db()));
+}
+
+TEST_F(ReplicationTest, BootstrapCarriesDefinitionsInTheSnapshot) {
+  StartPrimary();
+  auto primary = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  // Class-objects give the definitions a populated extent.
+  for (const char* stmt :
+       {"ALTER CLASS Class ADD SIGNATURE Motto => String",
+        "UPDATE CLASS Class SET Person.Motto = 'people first'",
+        "CREATE VIEW Mottos AS SUBCLASS OF Object SIGNATURE M => String "
+        "SELECT M = X.Motto FROM Class X OID FUNCTION OF X WHERE X.Motto[M]",
+        "ALTER CLASS Class ADD SIGNATURE Shout => String "
+        "SELECT (Shout) = N FROM Class X OID X WHERE X.Motto[N]"}) {
+    auto out = primary->Execute(stmt);
+    ASSERT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
+  }
+  // After the checkpoint the definitions live only in the snapshot:
+  // there is no DDL log to ship, and the new generation's WAL holds one
+  // plain UPDATE (so AwaitCaughtUp cannot match before the bootstrap).
+  ASSERT_TRUE(server_->manager().Checkpoint().ok());
+  ASSERT_TRUE(
+      primary->Execute("UPDATE CLASS Person SET mary.Salary = 101").ok());
+  ASSERT_EQ(dd_->wal_records(), 1u);
+  ASSERT_EQ(dd_->db().definitions().size(), 2u);
+
+  StartReplica();
+  EXPECT_FALSE(File::Exists(
+      DurableDatabase::DdlPath(root_ + "/replica", dd_->generation())));
+  EXPECT_EQ(node_->durable()->db().definitions(), dd_->db().definitions());
+  EXPECT_EQ(storage::SaveSnapshot(node_->durable()->db()),
+            storage::SaveSnapshot(dd_->db()));
+  auto client = Client::Connect("127.0.0.1", node_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // The view's id-term needs the view definition on the replica.
+  auto view = client->Execute("SELECT T FROM Class X WHERE Mottos(X).M[T]");
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_NE(view->find("people first"), std::string::npos) << *view;
+  // The method body is executable and exists only by re-installation.
+  auto method = client->Execute("SELECT T WHERE Person.Shout[T]");
+  ASSERT_TRUE(method.ok()) << method.status().ToString();
+  EXPECT_NE(method->find("people first"), std::string::npos) << *method;
 }
 
 TEST_F(ReplicationTest, PromotionCarriesDedupForExactlyOnce) {

@@ -300,6 +300,56 @@ TEST_F(SnapshotTest, FileErrorPathsAreDistinguished) {
   std::remove(path.c_str());
 }
 
+TEST_F(SnapshotTest, DefinitionListRoundTripsByteExactly) {
+  // Definitions are recorded by executing them; the second one's string
+  // literal holds a newline and a backslash, which the DEF payload must
+  // escape to stay on one line.
+  Session session(&db_);
+  const std::string view =
+      "CREATE VIEW CoNames AS SUBCLASS OF Object "
+      "SIGNATURE TheName => String "
+      "SELECT TheName = X.Name FROM Company X OID FUNCTION OF X";
+  const std::string method =
+      "ALTER CLASS Company ADD SIGNATURE Odd => String "
+      "SELECT (Odd) = N FROM Company X OID X "
+      "WHERE X.Name[N] and X.Name['line one\nback\\slash']";
+  ASSERT_TRUE(session.Execute(view).ok());
+  auto defined = session.Execute(method);
+  ASSERT_TRUE(defined.ok()) << defined.status().ToString();
+  ASSERT_EQ(db_.definitions(), (std::vector<std::string>{view, method}));
+
+  const std::string snapshot = storage::SaveSnapshot(db_);
+  EXPECT_EQ(storage::SnapshotVersion(snapshot), 3);
+  Database restored;
+  ASSERT_TRUE(storage::LoadSnapshot(snapshot, &restored).ok());
+  EXPECT_EQ(restored.definitions(), db_.definitions());
+  EXPECT_EQ(storage::SaveSnapshot(restored), snapshot);
+}
+
+TEST_F(SnapshotTest, OlderFormatsLoadWithNoDefinitions) {
+  Session session(&db_);
+  ASSERT_TRUE(session
+                  .Execute("CREATE VIEW CoNames AS SUBCLASS OF Object "
+                           "SIGNATURE TheName => String SELECT TheName = "
+                           "X.Name FROM Company X OID FUNCTION OF X")
+                  .ok());
+  std::string snapshot = storage::SaveSnapshot(db_);
+  const size_t defs = snapshot.find("\nDEF ");
+  ASSERT_NE(defs, std::string::npos);
+  snapshot.erase(defs + 1);  // DEF records come last
+  for (int version : {1, 2}) {
+    snapshot.replace(0, snapshot.find('\n'),
+                     "XSQL-SNAPSHOT " + std::to_string(version));
+    EXPECT_EQ(storage::SnapshotVersion(snapshot), version);
+    Database restored;
+    ASSERT_TRUE(storage::LoadSnapshot(snapshot, &restored).ok());
+    EXPECT_TRUE(restored.definitions().empty());
+    EXPECT_EQ(restored.object_count(), db_.object_count());
+  }
+  EXPECT_EQ(storage::SnapshotVersion("XSQL-SNAPSHOT 4\n"), 0);
+  EXPECT_EQ(storage::SnapshotVersion(""), 0);
+}
+
 TEST_F(SnapshotTest, EmptyDatabaseRoundTrips) {
   Database empty;
   std::string snapshot = storage::SaveSnapshot(empty);
