@@ -1,10 +1,12 @@
 // Durability costs: what a per-statement WAL fsync adds to mutation
 // latency, what raw record appends cost, how recovery time scales with
-// WAL length, and what a checkpoint rotation costs. Companion numbers
-// live in EXPERIMENTS.md.
+// WAL length, what a checkpoint rotation costs, and how a point write
+// scales with database size. Companion numbers live in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "eval/session.h"
@@ -12,6 +14,8 @@
 #include "storage/recovery.h"
 #include "storage/wal.h"
 #include "store/database.h"
+#include "workload/fig1_schema.h"
+#include "workload/generator.h"
 
 namespace xsql {
 namespace bench {
@@ -148,6 +152,51 @@ void BM_Checkpoint(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMicrosecond);
+
+// Write cost against database size (the generator scale): one point
+// UPDATE, then the snapshot fork and new COW epoch the server takes
+// after every write. Each write stores a fresh value, so the active
+// domain gains one oid and loses another every iteration. With the
+// domain maintained per write, the time should stay flat across scales.
+void BM_PointWriteCost(benchmark::State& state) {
+  const size_t scale = static_cast<size_t>(state.range(0));
+  // Generated once per scale: the library may call this function
+  // several times while it sizes the iteration count.
+  static std::map<size_t, std::unique_ptr<Database>>& instances =
+      *new std::map<size_t, std::unique_ptr<Database>>();
+  std::unique_ptr<Database>& db = instances[scale];
+  workload::WorkloadParams params;
+  params = params.Scaled(scale);
+  if (db == nullptr) {
+    db = std::make_unique<Database>();
+    Status st = workload::BuildFig1Schema(db.get());
+    if (st.ok()) st = workload::GenerateFig1Data(db.get(), params).status();
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  Session session(db.get());
+  static int64_t next_value = 1'000'000;
+  size_t person = 0;
+  for (auto _ : state) {
+    auto out = session.Execute(
+        "UPDATE CLASS Person SET person" +
+        std::to_string(person++ % params.extra_persons) +
+        ".Age = " + std::to_string(next_value++));
+    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    std::unique_ptr<Database> snapshot = db->Fork();
+    db->BeginNewEpoch();
+    benchmark::DoNotOptimize(snapshot);
+  }
+  state.counters["objects"] = static_cast<double>(db->object_count());
+  state.counters["domain"] = static_cast<double>(db->ActiveDomain().size());
+}
+BENCHMARK(BM_PointWriteCost)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

@@ -814,11 +814,16 @@ class ConjunctDriver {
       };
       const IdTerm& target = cond->super;
       if (target.is_var() && !binding->Bound(target.var)) {
-        for (const Oid& obj : db.ActiveDomain()) {
+        // A copy pins the chunks: the continuation may write (a view
+        // materializing) without reaching the set being walked.
+        const CountedOidSet domain = db.ActiveDomain();
+        Status st = Status::OK();
+        domain.ForEach([&](const Oid& obj) {
+          if (!st.ok()) return;
           BindScope scope(binding, target.var, obj);
-          XSQL_RETURN_IF_ERROR(test(obj));
-        }
-        return Status::OK();
+          st = test(obj);
+        });
+        return st;
       }
       PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_});
       XSQL_ASSIGN_OR_RETURN(Oid obj, pe.EvalIdTerm(target, *binding));
@@ -892,11 +897,10 @@ PathEvaluator Evaluator::MakePathEvaluator(const EvalOptions& opts) {
   if (ranges != nullptr || partition != nullptr) {
     // Theorem 6.1(2): restrict instantiations of each v-selector X to
     // oids within A(X). Candidates are materialized once per variable
-    // and shared; the no-range fallback hands out the database's shared
-    // active-domain snapshot instead of copying it per probe. A
-    // parallel worker's partitioned variable is further confined to its
-    // slice — every generator must be, or the worker would produce
-    // solutions outside its partition.
+    // and shared — the no-range fallback's active domain too — instead
+    // of being copied per probe. A parallel worker's partitioned
+    // variable is further confined to its slice — every generator must
+    // be, or the worker would produce solutions outside its partition.
     Database* db = db_;
     auto cache =
         std::make_shared<std::map<Variable, std::shared_ptr<const OidSet>>>();
@@ -908,17 +912,23 @@ PathEvaluator Evaluator::MakePathEvaluator(const EvalOptions& opts) {
         return std::shared_ptr<const OidSet>(std::shared_ptr<const OidSet>(),
                                              partition->set);
       }
-      if (ranges == nullptr) return db->ActiveDomainShared();
-      auto it = ranges->find(var);
-      if (it == ranges->end()) return db->ActiveDomainShared();
       auto cached = cache->find(var);
       if (cached != cache->end()) return cached->second;
-      static obs::Counter& materializations =
-          obs::MetricsRegistry::Global().GetCounter(
-              "xsql.eval.domain_materializations");
-      materializations.Inc();
-      auto candidates =
-          std::make_shared<OidSet>(it->second.CandidateOids(*db));
+      const VarRange* range = nullptr;
+      if (ranges != nullptr) {
+        auto it = ranges->find(var);
+        if (it != ranges->end()) range = &it->second;
+      }
+      std::shared_ptr<const OidSet> candidates;
+      if (range == nullptr) {
+        candidates = std::make_shared<OidSet>(db->ActiveDomain().ToOidSet());
+      } else {
+        static obs::Counter& materializations =
+            obs::MetricsRegistry::Global().GetCounter(
+                "xsql.eval.domain_materializations");
+        materializations.Inc();
+        candidates = std::make_shared<OidSet>(range->CandidateOids(*db));
+      }
       cache->emplace(var, candidates);
       return candidates;
     };
@@ -1125,10 +1135,6 @@ bool Evaluator::TryRunParallel(const Query& query, const EvalOptions& opts,
   obs::Span span("exec/parallel", [&] {
     return entry.var.ToString() + " x" + std::to_string(partitions);
   });
-
-  // Build the only lazily-cached shared state workers read (the active
-  // domain snapshot) on this thread, before any worker can race it.
-  (void)db_->ActiveDomainShared();
 
   // Contiguous slices in extent order: worker p owns candidates
   // [p*chunk, (p+1)*chunk) — merging in partition order reproduces the
@@ -1393,7 +1399,7 @@ Result<EvalOutput> Evaluator::RunNaive(const Query& query) {
         domains.push_back(db_->graph().Extent(builtin::MetaMethod()));
         break;
       default:
-        domains.push_back(db_->ActiveDomain());
+        domains.push_back(db_->ActiveDomain().ToOidSet());
         break;
     }
   }

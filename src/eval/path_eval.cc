@@ -21,7 +21,7 @@ bool PathEvaluator::SortAdmits(const Variable& var, const Oid& oid) const {
 }
 
 std::shared_ptr<const OidSet> PathEvaluator::DomainFor(
-    const Variable& var) const {
+    const Variable& var) {
   switch (var.sort) {
     case VarSort::kClass:
       return std::make_shared<OidSet>(
@@ -31,7 +31,11 @@ std::shared_ptr<const OidSet> PathEvaluator::DomainFor(
           db_.graph().Extent(builtin::MetaMethod()));
     default:
       if (opts_.var_domain) return opts_.var_domain(var);
-      return db_.ActiveDomainShared();
+      if (active_domain_ == nullptr) {
+        active_domain_ =
+            std::make_shared<OidSet>(db_.ActiveDomain().ToOidSet());
+      }
+      return active_domain_;
   }
 }
 

@@ -107,12 +107,15 @@ class PathEvaluator {
   /// method-objects; individual variables are unrestricted).
   bool SortAdmits(const Variable& var, const Oid& oid) const;
 
-  std::shared_ptr<const OidSet> DomainFor(const Variable& var) const;
+  std::shared_ptr<const OidSet> DomainFor(const Variable& var);
 
   const Database& db_;
   MethodInvoker* invoker_;
   PathEvalOptions opts_;
   ExecutionContext* ctx_;
+  /// The active domain as one set, taken at this evaluator's first
+  /// unranged probe and shared by the rest.
+  std::shared_ptr<const OidSet> active_domain_;
 };
 
 }  // namespace xsql

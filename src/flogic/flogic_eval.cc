@@ -75,7 +75,10 @@ class ModelChecker {
         }
         return *method_domain_;
       default:
-        return db_->ActiveDomain();
+        if (!individual_domain_.has_value()) {
+          individual_domain_ = db_->ActiveDomain().ToOidSet();
+        }
+        return *individual_domain_;
     }
   }
 
@@ -212,6 +215,7 @@ class ModelChecker {
 
   std::optional<OidSet> class_domain_;
   std::optional<OidSet> method_domain_;
+  std::optional<OidSet> individual_domain_;
 
   Result<Oid> EvalTerm(const IdTerm& term, const Binding& binding) {
     switch (term.kind) {

@@ -152,13 +152,23 @@ std::string Oid::ToString() const {
 }
 
 OidSet::OidSet(std::vector<Oid> elems) : elems_(std::move(elems)) {
-  std::sort(elems_.begin(), elems_.end());
+  if (!std::is_sorted(elems_.begin(), elems_.end())) {
+    std::sort(elems_.begin(), elems_.end());
+  }
+  const size_t before = elems_.size();
   elems_.erase(std::unique(elems_.begin(), elems_.end()), elems_.end());
+  // A set built from a multiset should not keep the multiset's buffer.
+  if (elems_.size() < before / 2) elems_.shrink_to_fit();
 }
 
 void OidSet::Insert(const Oid& oid) {
   auto it = std::lower_bound(elems_.begin(), elems_.end(), oid);
   if (it == elems_.end() || !(*it == oid)) elems_.insert(it, oid);
+}
+
+void OidSet::Erase(const Oid& oid) {
+  auto it = std::lower_bound(elems_.begin(), elems_.end(), oid);
+  if (it != elems_.end() && *it == oid) elems_.erase(it);
 }
 
 bool OidSet::Contains(const Oid& oid) const {

@@ -116,6 +116,8 @@ class OidSet {
   explicit OidSet(std::vector<Oid> elems);
 
   void Insert(const Oid& oid);
+  /// Removes `oid` if present.
+  void Erase(const Oid& oid);
   bool Contains(const Oid& oid) const;
   bool empty() const { return elems_.empty(); }
   size_t size() const { return elems_.size(); }

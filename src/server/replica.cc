@@ -141,6 +141,7 @@ Status ReplicaNode::OpenAndServe(ServerRole role) {
   server_ = std::move(*server);
   port_ = server_->port();
   applied_records_.store(dd_->wal_records(), std::memory_order_relaxed);
+  generation_.store(dd_->generation(), std::memory_order_release);
   return Status::OK();
 }
 

@@ -74,6 +74,13 @@ class ReplicaNode {
   Server* server();
   storage::DurableDatabase* durable();
 
+  /// The generation of the durable database the node serves, published
+  /// after each (re)open installs it. Safe to poll from any thread while
+  /// the applier re-bootstraps, unlike dereferencing `durable()`.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   /// Records the applier observed the primary at, and applied locally.
   uint64_t primary_records() const {
     return primary_records_.load(std::memory_order_relaxed);
@@ -119,6 +126,7 @@ class ReplicaNode {
   std::mutex promote_mu_;
   std::condition_variable promote_cv_;
 
+  std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> primary_records_{0};
   std::atomic<uint64_t> applied_records_{0};
   std::atomic<uint64_t> reconnects_{0};

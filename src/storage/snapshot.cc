@@ -362,19 +362,21 @@ namespace {
 
 /// Parses and applies one snapshot record line (sans the leading record
 /// word). Every error is InvalidArgument; the caller stamps the line
-/// number on.
+/// number on. Class-graph records go to `graph` verbatim (no implied
+/// Object superclass or meta-class membership); the caller recounts the
+/// active domain afterwards.
 Status ApplyLine(const std::string& record, LineCursor* cursor,
-                 Database* db) {
+                 Database* db, ClassGraph* graph) {
   if (record == "CLASS") {
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return db->mutable_graph().DeclareClass(cls);
+    return graph->DeclareClass(cls);
   }
   if (record == "ISA") {
     XSQL_ASSIGN_OR_RETURN(Oid sub, cursor->NextOid());
     XSQL_ASSIGN_OR_RETURN(Oid super, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return db->mutable_graph().AddSubclass(sub, super);
+    return graph->AddSubclass(sub, super);
   }
   if (record == "SIG") {
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
@@ -399,7 +401,7 @@ Status ApplyLine(const std::string& record, LineCursor* cursor,
     XSQL_ASSIGN_OR_RETURN(Oid obj, cursor->NextOid());
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return db->mutable_graph().AddInstance(obj, cls);
+    return graph->AddInstance(obj, cls);
   }
   if (record == "OBJ") {
     XSQL_ASSIGN_OR_RETURN(Oid oid, cursor->NextOid());
@@ -446,26 +448,34 @@ Status LoadSnapshot(const std::string& text, Database* db) {
   if (!std::getline(in, line) || SnapshotVersion(line) == 0) {
     return Status::InvalidArgument("not an XSQL snapshot (bad header)");
   }
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return Malformed("record '" + line + "' without payload (line " +
-                       std::to_string(line_no) + ")", 0);
+  ClassGraph* graph = &db->graph_;
+  auto apply_records = [&]() -> Status {
+    size_t line_no = 1;
+    while (std::getline(in, line)) {
+      ++line_no;
+      if (line.empty()) continue;
+      size_t space = line.find(' ');
+      if (space == std::string::npos) {
+        return Malformed("record '" + line + "' without payload (line " +
+                         std::to_string(line_no) + ")", 0);
+      }
+      std::string record = line.substr(0, space);
+      LineCursor cursor(line.substr(space + 1));
+      Status st = ApplyLine(record, &cursor, db, graph);
+      if (!st.ok()) {
+        // Offsets inside messages are relative to the line's payload;
+        // stamp the line number so corrupt files pinpoint themselves.
+        return Status(st.code(), st.message() + " (line " +
+                                     std::to_string(line_no) + ")");
+      }
     }
-    std::string record = line.substr(0, space);
-    LineCursor cursor(line.substr(space + 1));
-    Status st = ApplyLine(record, &cursor, db);
-    if (!st.ok()) {
-      // Offsets inside messages are relative to the line's payload;
-      // stamp the line number so corrupt files pinpoint themselves.
-      return Status(st.code(),
-                    st.message() + " (line " + std::to_string(line_no) + ")");
-    }
-  }
-  return Status::OK();
+    return Status::OK();
+  };
+  Status st = apply_records();
+  // The raw graph writes bypassed the domain counts: one full recount,
+  // on failure too, leaves even a partial load consistent.
+  db->RecountDomain();
+  return st;
 }
 
 Status SaveSnapshotToFile(const Database& db, const std::string& path) {

@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <deque>
 
-#include "obs/metrics.h"
+#include "store/cow.h"
 
 namespace xsql {
-
-namespace {
-
-/// COW accounting (xsql.mvcc.*): how often a write had to clone a
-/// shared piece, and roughly how many bytes the clones copied. The byte
-/// figure is an estimate (container footprints, not deep oid payloads)
-/// — it is a *trend* metric for snapshot churn, not an allocator audit.
-void CountCowClone(size_t approx_bytes) {
-  static obs::Counter& clones =
-      obs::MetricsRegistry::Global().GetCounter("xsql.mvcc.cow_clones");
-  static obs::Counter& bytes =
-      obs::MetricsRegistry::Global().GetCounter("xsql.mvcc.cow_bytes");
-  clones.Inc();
-  bytes.Inc(static_cast<uint64_t>(approx_bytes));
-}
-
-}  // namespace
 
 ClassGraph::ClassGraph() {
   for (auto& shard : instance_of_) {
@@ -129,13 +112,7 @@ void ClassGraph::RemoveInstance(const Oid& obj, const Oid& cls) {
   InstanceShard& shard = WritableShard(obj);
   auto& classes = shard.map[obj];
   classes.erase(std::find(classes.begin(), classes.end(), cls));
-  if (Node* n = FindMutable(cls)) {
-    OidSet pruned;
-    for (const Oid& o : n->direct_extent) {
-      if (!(o == obj)) pruned.Insert(o);
-    }
-    n->direct_extent = std::move(pruned);
-  }
+  if (Node* n = FindMutable(cls)) n->direct_extent.Erase(obj);
 }
 
 void ClassGraph::RemoveClass(const Oid& cls) {

@@ -4,27 +4,41 @@
 #include <deque>
 
 #include "common/fault.h"
-#include "obs/metrics.h"
 #include "store/catalog.h"
+#include "store/cow.h"
 
 namespace xsql {
 
-Database::Database() {
-  for (auto& shard : objects_) {
-    shard = std::make_shared<ObjectShard>();
+namespace {
+
+/// Visits the domain occurrences one attribute contributes: its name and
+/// its scalar value or each set element.
+template <typename Fn>
+void ForEachOccurrence(const Oid& attr, const AttrValue& value, Fn&& fn) {
+  fn(attr);
+  if (value.set_valued()) {
+    for (const Oid& v : value.set()) fn(v);
+  } else {
+    fn(value.scalar());
   }
+}
+
+}  // namespace
+
+Database::Database() {
+  for (auto& shard : objects_) shard = std::make_shared<ObjectShard>();
   // Builtin hierarchy: individual classes live under Object; the two
   // meta-classes (Class, Method) stand apart, making the catalog part of
   // the hierarchy without mixing the class universe into individuals.
-  (void)graph_.DeclareClass(builtin::Object());
-  (void)graph_.AddSubclass(builtin::Numeral(), builtin::Object());
-  (void)graph_.AddSubclass(builtin::String(), builtin::Object());
-  (void)graph_.AddSubclass(builtin::Boolean(), builtin::Object());
-  (void)graph_.AddSubclass(builtin::NilClass(), builtin::Object());
-  (void)graph_.DeclareClass(builtin::MetaClass());
-  (void)graph_.DeclareClass(builtin::MetaMethod());
+  (void)GraphDeclareClass(builtin::Object());
+  (void)GraphAddSubclass(builtin::Numeral(), builtin::Object());
+  (void)GraphAddSubclass(builtin::String(), builtin::Object());
+  (void)GraphAddSubclass(builtin::Boolean(), builtin::Object());
+  (void)GraphAddSubclass(builtin::NilClass(), builtin::Object());
+  (void)GraphDeclareClass(builtin::MetaClass());
+  (void)GraphDeclareClass(builtin::MetaMethod());
   for (const Oid& cls : builtin::All()) {
-    (void)graph_.AddInstance(cls, builtin::MetaClass());
+    (void)GraphAddInstance(cls, builtin::MetaClass());
   }
 }
 
@@ -36,17 +50,12 @@ Database::Database(ForkTag, const Database& src)
       definitions_(src.definitions_),
       version_(src.version_),
       cow_epoch_(src.cow_epoch_ + 1),
-      active_domain_(src.active_domain_),
-      active_domain_dirty_(src.active_domain_dirty_) {
+      domain_(src.domain_) {
   // The fork's first write to any shared node/shard must clone it.
   graph_.BumpEpoch();
 }
 
 std::unique_ptr<Database> Database::Fork() const {
-  // Prewarm the lazy active-domain cache so the fork is born clean:
-  // concurrent readers of an immutable snapshot must never trigger a
-  // rebuild of a mutable member.
-  (void)ActiveDomain();
   return std::unique_ptr<Database>(new Database(ForkTag{}, *this));
 }
 
@@ -60,14 +69,8 @@ Database::ObjectShard& Database::WritableShard(const Oid& oid) {
   if (slot->epoch != cow_epoch_) {
     auto clone = std::make_shared<ObjectShard>(*slot);
     clone->epoch = cow_epoch_;
-    static obs::Counter& clones =
-        obs::MetricsRegistry::Global().GetCounter("xsql.mvcc.cow_clones");
-    static obs::Counter& bytes =
-        obs::MetricsRegistry::Global().GetCounter("xsql.mvcc.cow_bytes");
-    clones.Inc();
-    bytes.Inc(static_cast<uint64_t>(sizeof(ObjectShard) +
-                                    clone->map.size() *
-                                        (sizeof(Oid) + sizeof(Object))));
+    CountCowClone(sizeof(ObjectShard) +
+                  clone->map.size() * (sizeof(Oid) + sizeof(Object)));
     slot = std::move(clone);
   }
   return *slot;
@@ -82,9 +85,89 @@ Object* Database::FindMutableRaw(const Oid& oid) {
   return it == shard.map.end() ? nullptr : &it->second;
 }
 
+void Database::CreateObjectRaw(const Oid& oid) {
+  if (HasObject(oid)) return;
+  WritableShard(oid).map.emplace(oid, Object(oid));
+  domain_.Add(oid, cow_epoch_);
+}
+
 void Database::EraseObjectRaw(const Oid& oid) {
   if (!HasObject(oid)) return;
-  WritableShard(oid).map.erase(oid);
+  ObjectShard& shard = WritableShard(oid);
+  auto it = shard.map.find(oid);
+  for (const auto& [attr, value] : it->second.attrs()) {
+    ForEachOccurrence(attr, value,
+                      [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
+  }
+  shard.map.erase(it);
+  domain_.Remove(oid, cow_epoch_);
+}
+
+void Database::PutAttrRaw(const Oid& obj, const Oid& attr, AttrValue value) {
+  Object* object = FindMutableRaw(obj);
+  if (object == nullptr) return;
+  // Count the new occurrences before dropping the old ones, so a value
+  // that stays (or an attribute name that is overwritten) never leaves
+  // the domain and re-enters it.
+  ForEachOccurrence(attr, value,
+                    [&](const Oid& x) { domain_.Add(x, cow_epoch_); });
+  if (const AttrValue* prior = object->Get(attr)) {
+    ForEachOccurrence(attr, *prior,
+                      [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
+  }
+  if (value.set_valued()) {
+    object->SetSet(attr, std::move(value.mutable_set()));
+  } else {
+    object->SetScalar(attr, value.scalar());
+  }
+}
+
+Status Database::AddToSetRaw(const Oid& obj, const Oid& attr,
+                             const Oid& value) {
+  Object* object = FindMutableRaw(obj);
+  if (object == nullptr) return Status::NotFound("no object " + obj.ToString());
+  const AttrValue* prior = object->Get(attr);
+  const bool new_attr = prior == nullptr;
+  const bool new_value =
+      new_attr || (prior->set_valued() && !prior->set().Contains(value));
+  XSQL_RETURN_IF_ERROR(object->AddToSet(attr, value));
+  if (new_attr) domain_.Add(attr, cow_epoch_);
+  if (new_value) domain_.Add(value, cow_epoch_);
+  return Status::OK();
+}
+
+void Database::RemoveAttrRaw(const Oid& obj, const Oid& attr) {
+  Object* object = FindMutableRaw(obj);
+  if (object == nullptr) return;
+  const AttrValue* prior = object->Get(attr);
+  if (prior == nullptr) return;
+  ForEachOccurrence(attr, *prior,
+                    [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
+  object->Remove(attr);
+}
+
+void Database::DeclareClassRaw(const Oid& cls) {
+  if (graph_.IsClass(cls)) return;
+  (void)graph_.DeclareClass(cls);
+  domain_.Add(cls, cow_epoch_);
+}
+
+void Database::RemoveClassRaw(const Oid& cls) {
+  if (!graph_.IsClass(cls)) return;
+  graph_.RemoveClass(cls);
+  domain_.Remove(cls, cow_epoch_);
+}
+
+void Database::RecountDomain() {
+  domain_ = CountedOidSet();
+  auto count = [&](const Oid& oid) { domain_.Add(oid, cow_epoch_); };
+  ForEachObject([&](const Oid& oid, const Object& object) {
+    count(oid);
+    for (const auto& [attr, value] : object.attrs()) {
+      ForEachOccurrence(attr, value, count);
+    }
+  });
+  for (const Oid& cls : graph_.classes()) count(cls);
 }
 
 Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
@@ -105,7 +188,7 @@ Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
   // Classes are objects: register in the meta-class and give them a
   // (possibly empty) tuple-object record.
   XSQL_RETURN_IF_ERROR(GraphAddInstance(cls, builtin::MetaClass()));
-  GetOrCreate(cls);
+  EnsureObject(cls);
   Touch();
   return Status::OK();
 }
@@ -177,7 +260,7 @@ Status Database::ResolveMethodConflict(const Oid& cls, const Oid& method,
 
 Status Database::NewObject(const Oid& oid, const std::vector<Oid>& classes) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::NewObject"));
-  GetOrCreate(oid);
+  EnsureObject(oid);
   for (const Oid& cls : classes) {
     XSQL_RETURN_IF_ERROR(FaultCheck("Database::NewObject#class"));
     if (!graph_.IsClass(cls)) {
@@ -194,7 +277,7 @@ Status Database::AddInstanceOf(const Oid& oid, const Oid& cls) {
   if (!graph_.IsClass(cls)) {
     return Status::NotFound("unknown class " + cls.ToString());
   }
-  GetOrCreate(oid);
+  EnsureObject(oid);
   XSQL_RETURN_IF_ERROR(GraphAddInstance(oid, cls));
   Touch();
   return Status::OK();
@@ -204,7 +287,8 @@ Status Database::SetScalar(const Oid& obj, const Oid& attr, const Oid& value) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::SetScalar"));
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
   RecordUndoAttr(obj, attr);
-  GetOrCreate(obj).SetScalar(attr, value);
+  EnsureObject(obj);
+  PutAttrRaw(obj, attr, AttrValue::Scalar(value));
   Touch();
   return Status::OK();
 }
@@ -213,7 +297,8 @@ Status Database::SetSet(const Oid& obj, const Oid& attr, OidSet values) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::SetSet"));
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
   RecordUndoAttr(obj, attr);
-  GetOrCreate(obj).SetSet(attr, std::move(values));
+  EnsureObject(obj);
+  PutAttrRaw(obj, attr, AttrValue::Set(std::move(values)));
   Touch();
   return Status::OK();
 }
@@ -222,7 +307,8 @@ Status Database::AddToSet(const Oid& obj, const Oid& attr, const Oid& value) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::AddToSet"));
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
   RecordUndoAttr(obj, attr);
-  XSQL_RETURN_IF_ERROR(GetOrCreate(obj).AddToSet(attr, value));
+  EnsureObject(obj);
+  XSQL_RETURN_IF_ERROR(AddToSetRaw(obj, attr, value));
   Touch();
   return Status::OK();
 }
@@ -233,7 +319,7 @@ Status Database::ClearAttribute(const Oid& obj, const Oid& attr) {
     return Status::NotFound("no object " + obj.ToString());
   }
   RecordUndoAttr(obj, attr);
-  FindMutableRaw(obj)->Remove(attr);
+  RemoveAttrRaw(obj, attr);
   Touch();
   return Status::OK();
 }
@@ -244,7 +330,7 @@ Status Database::RemoveInstanceOf(const Oid& oid, const Oid& cls) {
     std::vector<Oid> classes = graph_.DirectClassesOf(oid);
     if (std::find(classes.begin(), classes.end(), cls) != classes.end()) {
       undo_->Record([oid, cls](Database* db) {
-        (void)db->graph_.AddInstance(oid, cls);
+        (void)db->GraphAddInstance(oid, cls);
       });
     }
   }
@@ -276,13 +362,6 @@ const Object* Database::GetObject(const Oid& oid) const {
   const ObjectShard& shard = *objects_[ShardIndexOf(oid)];
   auto it = shard.map.find(oid);
   return it == shard.map.end() ? nullptr : &it->second;
-}
-
-Object* Database::GetMutableObject(const Oid& oid) {
-  Object* obj = FindMutableRaw(oid);
-  if (obj == nullptr) return nullptr;
-  Touch();
-  return obj;
 }
 
 const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
@@ -347,42 +426,17 @@ OidSet Database::Extent(const Oid& cls) const {
   const bool wants_string = graph_.IsSubclassEq(builtin::String(), cls);
   const bool wants_bool = graph_.IsSubclassEq(builtin::Boolean(), cls);
   const bool wants_nil = graph_.IsSubclassEq(builtin::NilClass(), cls);
-  if (wants_numeral || wants_string || wants_bool || wants_nil) {
-    for (const Oid& oid : ActiveDomain()) {
-      if ((wants_numeral && oid.is_numeric()) ||
-          (wants_string && oid.is_string()) ||
-          (wants_bool && oid.is_bool()) || (wants_nil && oid.is_nil())) {
-        out.Insert(oid);
-      }
+  if (!(wants_numeral || wants_string || wants_bool || wants_nil)) return out;
+  // A filter of the sorted domain is sorted: one linear merge.
+  std::vector<Oid> literals;
+  domain_.ForEach([&](const Oid& oid) {
+    if ((wants_numeral && oid.is_numeric()) ||
+        (wants_string && oid.is_string()) || (wants_bool && oid.is_bool()) ||
+        (wants_nil && oid.is_nil())) {
+      literals.push_back(oid);
     }
-  }
-  return out;
-}
-
-const OidSet& Database::ActiveDomain() const {
-  if (active_domain_dirty_ || active_domain_ == nullptr) {
-    auto domain = std::make_shared<OidSet>();
-    ForEachObject([&](const Oid& oid, const Object& object) {
-      domain->Insert(oid);
-      for (const auto& [attr, value] : object.attrs()) {
-        domain->Insert(attr);
-        if (value.set_valued()) {
-          for (const Oid& v : value.set()) domain->Insert(v);
-        } else {
-          domain->Insert(value.scalar());
-        }
-      }
-    });
-    for (const Oid& cls : graph_.classes()) domain->Insert(cls);
-    active_domain_ = std::move(domain);
-    active_domain_dirty_ = false;
-  }
-  return *active_domain_;
-}
-
-std::shared_ptr<const OidSet> Database::ActiveDomainShared() const {
-  (void)ActiveDomain();  // rebuild if dirty
-  return active_domain_;
+  });
+  return OidSet::Union(out, OidSet(std::move(literals)));
 }
 
 Status Database::RegisterMethodObject(const Oid& attr) {
@@ -393,13 +447,12 @@ Status Database::RegisterMethodObject(const Oid& attr) {
   return GraphAddInstance(attr, builtin::MetaMethod());
 }
 
-Object& Database::GetOrCreate(const Oid& oid) {
-  if (Object* existing = FindMutableRaw(oid)) return *existing;
+void Database::EnsureObject(const Oid& oid) {
+  if (HasObject(oid)) return;
   if (undo_ != nullptr) {
     undo_->Record([oid](Database* db) { db->EraseObjectRaw(oid); });
   }
-  ObjectShard& shard = WritableShard(oid);
-  return shard.map.emplace(oid, Object(oid)).first->second;
+  CreateObjectRaw(oid);
 }
 
 Status Database::FaultCheck(const char* site) {
@@ -410,9 +463,10 @@ Status Database::FaultCheck(const char* site) {
 
 Status Database::GraphDeclareClass(const Oid& cls) {
   if (undo_ != nullptr && !graph_.IsClass(cls)) {
-    undo_->Record([cls](Database* db) { db->graph_.RemoveClass(cls); });
+    undo_->Record([cls](Database* db) { db->RemoveClassRaw(cls); });
   }
-  return graph_.DeclareClass(cls);
+  DeclareClassRaw(cls);
+  return Status::OK();
 }
 
 Status Database::GraphAddSubclass(const Oid& sub, const Oid& super) {
@@ -420,10 +474,10 @@ Status Database::GraphAddSubclass(const Oid& sub, const Oid& super) {
     // AddSubclass auto-declares both endpoints before its cycle check can
     // fail, so the declarations must be undoable even on failure.
     if (!graph_.IsClass(sub)) {
-      undo_->Record([sub](Database* db) { db->graph_.RemoveClass(sub); });
+      undo_->Record([sub](Database* db) { db->RemoveClassRaw(sub); });
     }
     if (!graph_.IsClass(super)) {
-      undo_->Record([super](Database* db) { db->graph_.RemoveClass(super); });
+      undo_->Record([super](Database* db) { db->RemoveClassRaw(super); });
     }
     std::vector<Oid> supers = graph_.DirectSuperclasses(sub);
     if (std::find(supers.begin(), supers.end(), super) == supers.end()) {
@@ -432,13 +486,18 @@ Status Database::GraphAddSubclass(const Oid& sub, const Oid& super) {
       });
     }
   }
+  if (!(sub == super)) {
+    // Declare the endpoints here, counted, before the graph would.
+    DeclareClassRaw(sub);
+    DeclareClassRaw(super);
+  }
   return graph_.AddSubclass(sub, super);
 }
 
 Status Database::GraphAddInstance(const Oid& obj, const Oid& cls) {
   if (undo_ != nullptr) {
     if (!graph_.IsClass(cls)) {
-      undo_->Record([cls](Database* db) { db->graph_.RemoveClass(cls); });
+      undo_->Record([cls](Database* db) { db->RemoveClassRaw(cls); });
     }
     std::vector<Oid> classes = graph_.DirectClassesOf(obj);
     if (std::find(classes.begin(), classes.end(), cls) == classes.end()) {
@@ -447,6 +506,7 @@ Status Database::GraphAddInstance(const Oid& obj, const Oid& cls) {
       });
     }
   }
+  DeclareClassRaw(cls);
   return graph_.AddInstance(obj, cls);
 }
 
@@ -460,18 +520,11 @@ void Database::RecordUndoAttr(const Oid& obj, const Oid& attr) {
   }
   const AttrValue* prior = existing->Get(attr);
   if (prior == nullptr) {
-    undo_->Record([obj, attr](Database* db) {
-      if (Object* o = db->FindMutableRaw(obj)) o->Remove(attr);
-    });
-  } else if (prior->set_valued()) {
-    OidSet saved = prior->set();
-    undo_->Record([obj, attr, saved](Database* db) {
-      if (Object* o = db->FindMutableRaw(obj)) o->SetSet(attr, saved);
-    });
+    undo_->Record(
+        [obj, attr](Database* db) { db->RemoveAttrRaw(obj, attr); });
   } else {
-    Oid saved = prior->scalar();
-    undo_->Record([obj, attr, saved](Database* db) {
-      if (Object* o = db->FindMutableRaw(obj)) o->SetScalar(attr, saved);
+    undo_->Record([obj, attr, saved = *prior](Database* db) {
+      db->PutAttrRaw(obj, attr, saved);
     });
   }
 }

@@ -12,12 +12,18 @@
 #include "common/status.h"
 #include "oid/oid.h"
 #include "store/class_graph.h"
+#include "store/counted_oid_set.h"
 #include "store/method.h"
 #include "store/object.h"
 #include "store/signature.h"
 #include "store/undo_log.h"
 
 namespace xsql {
+
+class Database;
+namespace storage {
+Status LoadSnapshot(const std::string& text, Database* db);
+}  // namespace storage
 
 /// The object-oriented database of §2: objects, classes, signatures,
 /// methods and the instance-of / IS-A relationships, with the system
@@ -31,7 +37,10 @@ namespace xsql {
 ///    class-object (classes are objects and can carry default values);
 ///  * class extents for the literal classes use the *active domain*
 ///    (every oid occurring in the database), the standard logic-database
-///    reading of an otherwise infinite extent;
+///    reading of an otherwise infinite extent. The domain is maintained,
+///    not recomputed: a reference count per oid occurrence changes with
+///    each write, and the member set changes only when a count crosses
+///    zero;
 ///  * attribute names used in data are auto-registered as method-objects
 ///    (instances of `Method`) so that method variables can range over
 ///    them — the paper's schema-browsing feature.
@@ -40,9 +49,11 @@ namespace xsql {
 /// + shard-count) — the object map is sharded and each shard is held by
 /// shared_ptr, as are the class-graph nodes. After a fork, the first
 /// write to a shared shard/node in the new copy-on-write epoch clones it
-/// (see ClassGraph for the epoch discipline). A fork taken under the
+/// (see ClassGraph for the epoch discipline). The active domain's count
+/// chunks follow the same discipline. A fork taken under the
 /// writer latch and never mutated again is an immutable snapshot that
-/// concurrent readers can use with no synchronization at all.
+/// concurrent readers can use with no synchronization at all: no member
+/// is computed lazily, so a reader never writes.
 class Database {
  public:
   Database();
@@ -51,12 +62,10 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   /// A structurally-shared copy for MVCC: shares every object-map shard,
-  /// class-graph node, and the active-domain cache with `this`; copies
-  /// the (schema-sized) signature and method stores and definitions.
-  /// The fork starts a new COW epoch, so its first write to any shared
-  /// piece clones it. The active-domain cache is prewarmed first so the
-  /// fork's mutable lazy members never need a rebuild unless the fork
-  /// itself mutates.
+  /// class-graph node, and active-domain chunk with `this`; copies the
+  /// (schema-sized) signature and method stores and definitions. The
+  /// fork starts a new COW epoch, so its first write to any shared piece
+  /// clones it.
   ///
   /// If *this* database keeps mutating after the fork (the writer path:
   /// master forks a snapshot, then executes the next statement), the
@@ -113,8 +122,7 @@ class Database {
   /// Removes an attribute from an object (making it undefined there).
   Status ClearAttribute(const Oid& obj, const Oid& attr);
 
-  /// Removes `oid` from the direct extent of `cls` (undoable, unlike the
-  /// raw `mutable_graph().RemoveInstance` escape hatch).
+  /// Removes `oid` from the direct extent of `cls` (undoable).
   Status RemoveInstanceOf(const Oid& oid, const Oid& cls);
 
   // ---- Definitions --------------------------------------------------
@@ -157,7 +165,6 @@ class Database {
     return shard.map.contains(oid);
   }
   const Object* GetObject(const Oid& oid) const;
-  Object* GetMutableObject(const Oid& oid);
 
   /// The value of `attr` on `obj`, applying default-value inheritance
   /// from class-objects (nearest class wins; among incomparable nearest
@@ -176,20 +183,16 @@ class Database {
   OidSet Extent(const Oid& cls) const;
 
   /// Every oid that occurs in the database: object ids, attribute names,
-  /// attribute values (recursing into id-term arguments is not needed —
-  /// a term occurrence is itself a domain element).
-  const OidSet& ActiveDomain() const;
-
-  /// The same set as a shared snapshot: callers that hold the domain
-  /// across candidate probes (the path evaluator's unbound-variable
-  /// fallback) take the pointer instead of copying the set per probe.
-  /// Stable until the next mutation (`Touch`) dirties the cache.
-  std::shared_ptr<const OidSet> ActiveDomainShared() const;
+  /// attribute values and declared classes (recursing into id-term
+  /// arguments is not needed — a term occurrence is itself a domain
+  /// element). O(1): the mutators maintain it. A caller that holds the
+  /// domain across evaluation that may write (a view materialized
+  /// mid-enumeration) takes a copy: copies share chunks and never change.
+  const CountedOidSet& ActiveDomain() const { return domain_; }
 
   // ---- Components ---------------------------------------------------
 
   const ClassGraph& graph() const { return graph_; }
-  ClassGraph& mutable_graph() { return graph_; }
   const SignatureStore& signatures() const { return signatures_; }
   SignatureStore& mutable_signatures() { return signatures_; }
   const MethodRegistry& methods() const { return methods_; }
@@ -218,9 +221,15 @@ class Database {
   uint64_t version() const { return version_; }
 
  private:
+  /// The snapshot loader restores the class graph verbatim through the
+  /// raw graph, then recounts the domain once.
+  friend Status storage::LoadSnapshot(const std::string& text, Database* db);
+
   /// Object map sharding: one shared_ptr'd shard per hash slice, so a
-  /// write in a fresh COW epoch copies ~1/kObjectShards of the data.
-  static constexpr size_t kObjectShards = 32;
+  /// write in a fresh COW epoch copies ~1/kObjectShards of the objects
+  /// (a couple at generator scale 8, a few dozen at scale 128), while a
+  /// fork copies kObjectShards pointers.
+  static constexpr size_t kObjectShards = 1024;
   struct ObjectShard {
     std::unordered_map<Oid, Object, OidHash> map;
     uint64_t epoch = 0;
@@ -235,20 +244,36 @@ class Database {
 
   /// COW: clones the shard first when it predates the current epoch.
   ObjectShard& WritableShard(const Oid& oid);
-  /// COW-aware raw lookups for undo inverses and internal mutators —
-  /// they do not Touch() (Rollback touches once at the end).
   Object* FindMutableRaw(const Oid& oid);
+
+  // Counted raw primitives. Every change to an object record, an
+  // attribute or the class list — forward or undo inverse — goes
+  // through these, so the occurrence counts behind the active domain
+  // never drift and Rollback needs no domain-specific inverses. They
+  // neither record undo nor Touch() (Rollback touches once at the end),
+  // and each tolerates an absent target.
+  void CreateObjectRaw(const Oid& oid);
+  /// Drops the object and the counts of its own attributes.
   void EraseObjectRaw(const Oid& oid);
+  void PutAttrRaw(const Oid& obj, const Oid& attr, AttrValue value);
+  Status AddToSetRaw(const Oid& obj, const Oid& attr, const Oid& value);
+  void RemoveAttrRaw(const Oid& obj, const Oid& attr);
+  void DeclareClassRaw(const Oid& cls);
+  void RemoveClassRaw(const Oid& cls);
+
+  /// Rebuilds the domain from scratch (after a raw snapshot load).
+  void RecountDomain();
 
   Status RegisterMethodObject(const Oid& attr);
-  Object& GetOrCreate(const Oid& oid);
-  void Touch() { ++version_; active_domain_dirty_ = true; }
+  /// Creates the object record if absent, recording its erasure.
+  void EnsureObject(const Oid& oid);
+  void Touch() { ++version_; }
 
   /// Fault-injection hook for the mutation domain (see common/fault.h).
   static Status FaultCheck(const char* site);
 
-  // Undo-recording wrappers around the raw graph primitives: they save
-  // the inverse (only when the forward call would actually change state)
+  // Undo-recording wrappers around the graph primitives: they save the
+  // inverse (only when the forward call would actually change state)
   // before delegating.
   Status GraphDeclareClass(const Oid& cls);
   Status GraphAddSubclass(const Oid& sub, const Oid& super);
@@ -269,11 +294,9 @@ class Database {
   /// shared with some fork and must be cloned before a write.
   uint64_t cow_epoch_ = 0;
 
-  /// Lazily rebuilt by ActiveDomain(); shared (not copied) across forks.
-  /// A snapshot is always forked clean (prewarmed, dirty flag false), so
-  /// concurrent readers never write these mutable members.
-  mutable std::shared_ptr<const OidSet> active_domain_;
-  mutable bool active_domain_dirty_ = true;
+  /// The active domain, counted per occurrence; its chunks follow the
+  /// shards' COW epochs.
+  CountedOidSet domain_;
 };
 
 }  // namespace xsql

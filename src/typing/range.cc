@@ -29,9 +29,21 @@ bool VarRange::SubrangeOf(const ClassGraph& graph, const Oid& cls) const {
 }
 
 OidSet VarRange::CandidateOids(const Database& db) const {
+  const ClassGraph& graph = db.graph();
   bool first = true;
   OidSet out;
   for (const Oid& cls : classes_) {
+    // Extent(sub) ⊆ Extent(super), literal classes included, so a class
+    // with a proper subclass in the range adds nothing to the
+    // intersection: {Object, Person} reads only Extent(Person).
+    bool redundant = false;
+    for (const Oid& other : classes_) {
+      if (graph.IsStrictSubclass(other, cls)) {
+        redundant = true;
+        break;
+      }
+    }
+    if (redundant) continue;
     OidSet extent = db.Extent(cls);
     if (first) {
       out = std::move(extent);

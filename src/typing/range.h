@@ -34,7 +34,8 @@ class VarRange {
 
   /// The candidate oids for a variable with this range: the extent of
   /// the most restrictive intersection — computed as the intersection of
-  /// the class extents. This is Theorem 6.1(2)'s optimization handle.
+  /// the class extents, skipping any class that has a proper subclass in
+  /// the range. This is Theorem 6.1(2)'s optimization handle.
   OidSet CandidateOids(const Database& db) const;
 
   std::string ToString() const;

@@ -130,12 +130,18 @@ TEST_F(CoverageTest, SelectBareLiteralAndSetLiteral) {
   EXPECT_TRUE(ne->empty());
 }
 
-TEST_F(CoverageTest, GetMutableObjectBumpsVersion) {
+TEST_F(CoverageTest, AttributeMutatorsBumpVersion) {
+  // Objects change only through the Database mutators — no accessor
+  // hands out a mutable object behind the active domain's counts — and
+  // each write bumps the version.
   uint64_t v = db_.version();
-  Object* obj = db_.GetMutableObject(A("mary123"));
-  ASSERT_NE(obj, nullptr);
+  ASSERT_TRUE(
+      db_.SetScalar(A("mary123"), A("Nickname"), Oid::String("m")).ok());
   EXPECT_GT(db_.version(), v);
-  EXPECT_EQ(db_.GetMutableObject(A("missing")), nullptr);
+  v = db_.version();
+  ASSERT_TRUE(db_.ClearAttribute(A("mary123"), A("Nickname")).ok());
+  EXPECT_GT(db_.version(), v);
+  EXPECT_FALSE(db_.ClearAttribute(A("missing"), A("Nickname")).ok());
 }
 
 TEST_F(CoverageTest, SubqueryAsSetComparisonSide) {

@@ -447,20 +447,20 @@ TEST(ParallelExecTest, RowBudgetTripsIdenticallySerialAndParallel) {
 
 // ------------------------------------------- satellite 1: var_domain
 
-TEST(DomainSnapshotTest, ActiveDomainSharedIsOneSnapshotNotPerProbeCopies) {
+TEST(DomainSnapshotTest, ActiveDomainCopyIsASnapshotOfOneState) {
   Database db;
   BuildTinyDb(&db, 5);
-  // The regression: the fallback used to return ActiveDomain() BY VALUE
-  // on every probe — a full active-domain copy per enumeration step.
-  auto first = db.ActiveDomainShared();
-  auto second = db.ActiveDomainShared();
-  EXPECT_EQ(first.get(), second.get());
-  // A mutation invalidates the snapshot; the next probe gets a fresh
-  // one rather than a stale alias.
+  // A holder that must survive writes mid-enumeration (a view
+  // materializing) takes a copy. The copy shares the chunks, and a later
+  // write clones what it touches instead of patching the copy.
+  const CountedOidSet pinned = db.ActiveDomain();
   ASSERT_TRUE(db.NewObject(A("probe_obj"), {A("Person")}).ok());
-  auto third = db.ActiveDomainShared();
-  EXPECT_NE(first.get(), third.get());
-  EXPECT_TRUE(third->Contains(A("probe_obj")));
+  EXPECT_FALSE(pinned.Contains(A("probe_obj")));
+  EXPECT_TRUE(db.ActiveDomain().Contains(A("probe_obj")));
+  EXPECT_EQ(db.ActiveDomain().size(), pinned.size() + 1);
+  EXPECT_EQ(OidSet::Difference(db.ActiveDomain().ToOidSet(),
+                               pinned.ToOidSet()),
+            OidSet({A("probe_obj")}));
 }
 
 TEST(DomainSnapshotTest, RangeDomainsMaterializeOncePerStatement) {

@@ -12,6 +12,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "domain_oracle.h"
 #include "eval/session.h"
 #include "storage/snapshot.h"
 #include "workload/fig1_schema.h"
@@ -21,6 +22,7 @@ namespace xsql {
 namespace {
 
 using Domain = FaultInjector::Domain;
+using testing_oracle::DomainMatchesRecompute;
 
 Oid A(const char* s) { return Oid::Atom(s); }
 
@@ -219,6 +221,7 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
         // All mutation points of this statement have been visited; this
         // run completed cleanly and its effects stay.
         EXPECT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
+        EXPECT_TRUE(DomainMatchesRecompute(*db)) << stmt;
         break;
       }
       ++injected_failures;
@@ -230,6 +233,9 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
       EXPECT_EQ(after, before)
           << stmt << ": rollback not byte-identical after fault at " << site
           << " (check #" << n << ")";
+      // The rollback also restored the domain counts it never logged.
+      EXPECT_TRUE(DomainMatchesRecompute(*db))
+          << stmt << ": after fault at " << site << " (check #" << n << ")";
       if (after != before) return injected_failures;
     }
   }
@@ -310,10 +316,12 @@ TEST_F(FaultInjectionTest, RandomFaultsNeverLeavePartialState) {
       if (!out.ok()) {
         ASSERT_TRUE(fired) << stmt << ": " << out.status().ToString();
         EXPECT_EQ(storage::SaveSnapshot(db), before) << stmt;
+        EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
         // Re-run cleanly so later statements see their prerequisites.
         auto retry = session.Execute(stmt);
         ASSERT_TRUE(retry.ok()) << stmt << ": " << retry.status().ToString();
       }
+      EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
     }
   }
 }

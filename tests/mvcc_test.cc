@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "domain_oracle.h"
+#include "eval/session.h"
 #include "server/concurrency.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
@@ -32,6 +34,7 @@ using storage::DurableDatabase;
 using storage::SaveSnapshot;
 using storage::VersionChain;
 using storage::Wal;
+using testing_oracle::DomainMatchesRecompute;
 
 Oid A(const std::string& name) { return Oid::Atom(name); }
 
@@ -103,6 +106,14 @@ TEST(DatabaseForkTest, MasterMutationsInvisibleToFork) {
   EXPECT_FALSE(fork->IsInstanceOf(A("mary"), A("Robot")));
   EXPECT_EQ(fork->GetObject(A("john")), nullptr);
   EXPECT_EQ(fork->Extent(A("Person")).size(), 1u);
+  // The shared domain chunks were cloned, not patched: each side's
+  // domain is its own state's.
+  EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_TRUE(fork->ActiveDomain().Contains(Oid::Int(30)));
+  EXPECT_FALSE(fork->ActiveDomain().Contains(Oid::Int(31)));
+  EXPECT_FALSE(db.ActiveDomain().Contains(Oid::Int(30)));
+  EXPECT_FALSE(fork->ActiveDomain().Contains(A("Robot")));
 }
 
 // And the other direction: a private fork (EXPLAIN ANALYZE, stale-view
@@ -121,6 +132,46 @@ TEST(DatabaseForkTest, ForkMutationsInvisibleToMaster) {
   EXPECT_EQ(SaveSnapshot(db), before);
   EXPECT_EQ(db.GetObject(A("ghost")), nullptr);
   EXPECT_TRUE(db.IsInstanceOf(A("mary"), A("Person")));
+  EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_FALSE(db.ActiveDomain().Contains(A("ghost")));
+}
+
+// The server's private-read path: a fork of a published snapshot runs a
+// query whose OID FUNCTION mints result objects. The minted objects
+// enter the private fork's domain only; the snapshot's and the master's
+// domains stay equal to their own recomputes.
+TEST(DatabaseForkTest, PrivateReadForkMintsObjectsIntoItsOwnDomain) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person"), {A("Object")}).ok());
+  for (const char* name : {"mary", "john", "sue"}) {
+    ASSERT_TRUE(db.NewObject(A(name), {A("Person")}).ok());
+    ASSERT_TRUE(
+        db.SetScalar(A(name), A("Name"), Oid::String(name)).ok());
+  }
+  std::unique_ptr<Database> snapshot = db.Fork();
+  db.BeginNewEpoch();
+  ASSERT_TRUE(db.SetScalar(A("mary"), A("Name"), Oid::String("m")).ok());
+  const std::string frozen = SaveSnapshot(*snapshot);
+
+  std::unique_ptr<Database> scratch = snapshot->Fork();
+  Session session(scratch.get());
+  auto out = session.Execute(
+      "SELECT TheName = X.Name FROM Person X OID FUNCTION OF X");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->created.size(), 3u);
+
+  EXPECT_EQ(SaveSnapshot(*snapshot), frozen);
+  for (const Database* side : {&db, snapshot.get(), scratch.get()}) {
+    EXPECT_TRUE(DomainMatchesRecompute(*side));
+  }
+  for (const Oid& minted : out->created) {
+    EXPECT_TRUE(scratch->ActiveDomain().Contains(minted));
+    EXPECT_FALSE(snapshot->ActiveDomain().Contains(minted));
+    EXPECT_FALSE(db.ActiveDomain().Contains(minted));
+  }
+  EXPECT_TRUE(snapshot->ActiveDomain().Contains(Oid::String("mary")));
+  EXPECT_FALSE(db.ActiveDomain().Contains(Oid::String("mary")));
 }
 
 // Forks of forks: each layer isolates from the ones above and below.
@@ -138,6 +189,18 @@ TEST(DatabaseForkTest, ChainedForksStayIndependent) {
   EXPECT_EQ(f1->Extent(A("Person")).size(), 1u);
   EXPECT_EQ(f2->Extent(A("Person")).size(), 2u);
   EXPECT_EQ(db.Extent(A("Person")).size(), 3u);
+  // A fork of a fork that writes, then the middle layer's domain again.
+  std::unique_ptr<Database> f3 = f2->Fork();
+  ASSERT_TRUE(f3->NewObject(A("o4"), {A("Person")}).ok());
+  ASSERT_TRUE(f3->SetScalar(A("o1"), A("Tag"), Oid::Int(7)).ok());
+  for (const Database* side : {&db, f1.get(), f2.get(), f3.get()}) {
+    EXPECT_TRUE(DomainMatchesRecompute(*side));
+  }
+  EXPECT_FALSE(f1->ActiveDomain().Contains(A("o2")));
+  EXPECT_TRUE(f2->ActiveDomain().Contains(A("o2")));
+  EXPECT_FALSE(f2->ActiveDomain().Contains(A("o4")));
+  EXPECT_FALSE(f2->ActiveDomain().Contains(Oid::Int(7)));
+  EXPECT_TRUE(f3->ActiveDomain().Contains(A("o4")));
 }
 
 // ------------------------------------------------- snapshot isolation

@@ -3,18 +3,22 @@
 //  * the production evaluator == the Theorem 3.1 F-logic translation;
 //  * Theorem 6.1(1): all coherent plans produce the same answers;
 //  * Theorem 6.1(2): range pruning never changes answers;
-//  * store invariants (IS-A upward closure of membership).
+//  * store invariants (IS-A upward closure of membership, and the
+//    maintained active domain equals a from-scratch recompute).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "common/fault.h"
 #include "common/rng.h"
+#include "domain_oracle.h"
 #include "eval/evaluator.h"
 #include "eval/session.h"
 #include "flogic/flogic_eval.h"
 #include "flogic/translate.h"
 #include "parser/parser.h"
+#include "storage/snapshot.h"
 #include "typing/type_checker.h"
 #include "workload/fig1_schema.h"
 #include "workload/generator.h"
@@ -23,6 +27,8 @@ namespace xsql {
 namespace {
 
 Oid A(const char* s) { return Oid::Atom(s); }
+
+using testing_oracle::DomainMatchesRecompute;
 
 std::multiset<std::vector<Oid>> Rows(const Relation& rel) {
   return {rel.rows().begin(), rel.rows().end()};
@@ -94,6 +100,7 @@ TEST_P(DifferentialTest, SmartEqualsNaive) {
     auto naive = evaluator.RunNaive(q);
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
+    EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
   }
 }
 
@@ -115,6 +122,7 @@ TEST_P(DifferentialTest, SmartEqualsFLogic) {
     auto smart = evaluator.Run(q);
     ASSERT_TRUE(smart.ok()) << text;
     EXPECT_EQ(Rows(smart->relation), Rows(*flogic_answer)) << text;
+    EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
   }
 }
 
@@ -176,6 +184,83 @@ TEST_P(DifferentialTest, RangePruningIsSound) {
     ASSERT_TRUE(with.ok()) << text;
     ASSERT_TRUE(without.ok()) << text;
     EXPECT_EQ(Rows(with->relation), Rows(without->relation)) << text;
+    EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+  }
+}
+
+// The maintained active domain equals a from-scratch recompute after
+// every statement of a seeded stream of writes: scalar updates to fresh
+// and to already-present values (a value leaves the domain only with its
+// last occurrence), schema changes, view materializations that mint
+// objects, and atomic scripts that fail half way and roll back.
+TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
+  Database db;
+  BuildTinyDb(&db, GetParam());
+  Session session(&db);
+  Rng rng(GetParam() * 7 + 5);
+  ASSERT_TRUE(DomainMatchesRecompute(db));
+  std::vector<Oid> persons;
+  for (const Oid& p : db.Extent(A("Person"))) {
+    if (p.is_atom()) persons.push_back(p);
+  }
+  ASSERT_FALSE(persons.empty());
+  auto person = [&] { return persons[rng.Uniform(persons.size())].str(); };
+  auto value = [&] {
+    // Mostly a small shared pool, so values are often already present.
+    return std::to_string(rng.Percent(70) ? rng.Range(1, 6)
+                                          : rng.Range(1000, 1000000));
+  };
+  std::vector<std::string> script = {
+      "ALTER CLASS Person ADD SIGNATURE Nick => String",
+      "CREATE VIEW Nicks AS SUBCLASS OF Object SIGNATURE N => String "
+      "SELECT N = X.Nick FROM Person X OID FUNCTION OF X",
+  };
+  for (int i = 0; i < 40; ++i) {
+    switch (rng.Uniform(5)) {
+      case 0:
+        script.push_back("UPDATE CLASS Person SET " + person() +
+                         ".Age = " + value());
+        break;
+      case 1:
+        script.push_back("UPDATE CLASS Person SET " + person() +
+                         ".Nick = 'n" + value() + "'");
+        break;
+      case 2:
+        // Materializes the view mid-query: objects minted and detached.
+        script.push_back("SELECT X FROM Person X WHERE Nicks(X).N");
+        break;
+      case 3:
+        script.push_back("UPDATE CLASS Address SET mary123.Residence.City "
+                         "= 'c" + value() + "'");
+        break;
+      default:
+        // Atomic, with an injected fault in the second statement: the
+        // first rolls back. Its write mints a fresh object, so the
+        // rollback erases an object together with its attribute.
+        script.push_back("FAULT UPDATE CLASS Person SET fresh" +
+                         std::to_string(i) + ".Age = " +
+                         std::to_string(rng.Range(1000, 1000000)) +
+                         "; UPDATE CLASS Person SET " + person() +
+                         ".Nick = 'n" + value() + "'");
+        break;
+    }
+  }
+  FaultInjector& fi = FaultInjector::Global();
+  for (const std::string& stmt : script) {
+    if (stmt.rfind("FAULT ", 0) == 0) {
+      const std::string before = storage::SaveSnapshot(db);
+      fi.ArmNth(FaultInjector::Domain::kMutation, 2);
+      auto out = session.ExecuteScript(stmt.substr(6), /*atomic=*/true);
+      const bool fired = fi.fired();
+      fi.Disarm();
+      ASSERT_TRUE(fired) << stmt;
+      EXPECT_FALSE(out.ok()) << stmt;
+      EXPECT_EQ(storage::SaveSnapshot(db), before) << stmt;
+    } else {
+      auto out = session.Execute(stmt);
+      ASSERT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
+    }
+    ASSERT_TRUE(DomainMatchesRecompute(db)) << stmt;
   }
 }
 
@@ -344,6 +429,7 @@ TEST_P(DifferentialTest, RandomPathQueriesAgree) {
     auto naive = evaluator.RunNaive(q);
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
+    EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "domain_oracle.h"
 #include "eval/session.h"
 #include "storage/file.h"
 #include "storage/snapshot.h"
@@ -15,6 +16,8 @@ namespace xsql {
 namespace {
 
 Oid A(const char* s) { return Oid::Atom(s); }
+
+using testing_oracle::DomainMatchesRecompute;
 
 TEST(OidCodecTest, RoundTripsEveryKind) {
   const Oid cases[] = {
@@ -120,6 +123,31 @@ TEST_F(SnapshotTest, FullRoundTrip) {
   EXPECT_EQ(
       restored.signatures().Declared(A("Employee"), A("Salary")).size(),
       db_.signatures().Declared(A("Employee"), A("Salary")).size());
+  // The loader recounts the domain it wrote around: same domain, exact.
+  EXPECT_TRUE(DomainMatchesRecompute(restored));
+  EXPECT_EQ(restored.ActiveDomain().ToOidSet(), db_.ActiveDomain().ToOidSet());
+}
+
+// The recount restores occurrence counts, not just membership: after a
+// load, a value leaves the domain exactly when its last occurrence goes.
+TEST_F(SnapshotTest, LoadedDomainKeepsCountingWrites) {
+  ASSERT_TRUE(db_.SetScalar(A("mary123"), A("Tag"), Oid::Int(4242)).ok());
+  ASSERT_TRUE(db_.SetScalar(A("_john13"), A("Tag"), Oid::Int(4242)).ok());
+  Database restored;
+  ASSERT_TRUE(
+      storage::LoadSnapshot(storage::SaveSnapshot(db_), &restored).ok());
+  ASSERT_TRUE(restored.ClearAttribute(A("mary123"), A("Tag")).ok());
+  EXPECT_TRUE(restored.ActiveDomain().Contains(Oid::Int(4242)));
+  ASSERT_TRUE(restored.SetScalar(A("_john13"), A("Tag"), Oid::Int(1)).ok());
+  EXPECT_FALSE(restored.ActiveDomain().Contains(Oid::Int(4242)));
+  EXPECT_TRUE(DomainMatchesRecompute(restored));
+  // A second round trip of the written state agrees too.
+  Database again;
+  ASSERT_TRUE(
+      storage::LoadSnapshot(storage::SaveSnapshot(restored), &again).ok());
+  EXPECT_TRUE(DomainMatchesRecompute(again));
+  EXPECT_EQ(again.ActiveDomain().ToOidSet(),
+            restored.ActiveDomain().ToOidSet());
 }
 
 TEST_F(SnapshotTest, NewlineInStringAttributeRoundTrips) {
@@ -271,6 +299,8 @@ TEST_F(SnapshotTest, TruncatedSnapshotIsRejected) {
   EXPECT_FALSE(
       storage::LoadSnapshot(snap.substr(0, snap.size() - 2), &restored)
           .ok());
+  // Whatever the partial load wrote, the domain still describes it.
+  EXPECT_TRUE(DomainMatchesRecompute(restored));
 }
 
 TEST_F(SnapshotTest, FileErrorPathsAreDistinguished) {
@@ -356,6 +386,7 @@ TEST_F(SnapshotTest, EmptyDatabaseRoundTrips) {
   Database restored;
   ASSERT_TRUE(storage::LoadSnapshot(snapshot, &restored).ok());
   EXPECT_TRUE(restored.graph().IsClass(A("Object")));
+  EXPECT_TRUE(DomainMatchesRecompute(restored));
 }
 
 }  // namespace

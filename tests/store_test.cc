@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.h"
 #include "store/catalog.h"
+#include "store/counted_oid_set.h"
 #include "store/database.h"
 
 namespace xsql {
@@ -236,6 +240,73 @@ TEST(DatabaseTest, ExtentOfLiteralClassesUsesActiveDomain) {
   OidSet objects = db.Extent(builtin::Object());
   EXPECT_TRUE(objects.Contains(A("john")));
   EXPECT_TRUE(objects.Contains(Oid::Int(30)));
+}
+
+// CountedOidSet against a std::map of counts, across chunk splits and
+// chunk removals, with copies taken mid-stream: a copy is a snapshot the
+// original's later writes never reach, whether they clone a chunk for a
+// new epoch or because the copy pins it.
+TEST(CountedOidSetTest, MatchesReferenceCountsAndCopiesStayFrozen) {
+  Rng rng(7);
+  CountedOidSet set;
+  std::map<Oid, int> reference;
+  auto members = [](const std::map<Oid, int>& counts) {
+    std::vector<Oid> out;
+    for (const auto& [oid, n] : counts) out.push_back(oid);
+    return OidSet(std::move(out));
+  };
+  std::vector<std::pair<CountedOidSet, OidSet>> copies;
+  uint64_t epoch = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const Oid oid = step % 3 == 0
+                        ? Oid::Atom("a" + std::to_string(rng.Uniform(400)))
+                        : Oid::Int(rng.Range(0, 700));
+    if (rng.Percent(60)) {
+      set.Add(oid, epoch);
+      ++reference[oid];
+    } else {
+      set.Remove(oid, epoch);
+      auto it = reference.find(oid);
+      if (it != reference.end() && --it->second == 0) reference.erase(it);
+    }
+    if (step % 500 == 0) {
+      copies.emplace_back(set, members(reference));
+      if (rng.Percent(50)) ++epoch;  // as after a fork
+    }
+  }
+  EXPECT_GT(set.size(), 2 * 128u);  // several chunks
+  EXPECT_EQ(set.ToOidSet(), members(reference));
+  EXPECT_EQ(set.size(), reference.size());
+  for (const auto& [oid, n] : reference) EXPECT_TRUE(set.Contains(oid));
+  EXPECT_FALSE(set.Contains(A("absent")));
+  for (const auto& [copy, frozen] : copies) {
+    EXPECT_EQ(copy.ToOidSet(), frozen);
+    EXPECT_EQ(copy.size(), frozen.size());
+  }
+  // Draining every occurrence empties the set.
+  for (const auto& [oid, n] : reference) {
+    for (int i = 0; i < n; ++i) set.Remove(oid, epoch);
+  }
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set.ToOidSet().empty());
+}
+
+// A value stays in the domain while any occurrence remains.
+TEST(DatabaseTest, DomainDropsAValueWithItsLastOccurrence) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person")).ok());
+  ASSERT_TRUE(db.NewObject(A("john"), {A("Person")}).ok());
+  ASSERT_TRUE(db.NewObject(A("mary"), {A("Person")}).ok());
+  ASSERT_TRUE(db.SetScalar(A("john"), A("Age"), Oid::Int(30)).ok());
+  ASSERT_TRUE(db.SetSet(A("mary"), A("Ages"), OidSet({Oid::Int(30)})).ok());
+  ASSERT_TRUE(db.SetScalar(A("john"), A("Age"), Oid::Int(31)).ok());
+  EXPECT_TRUE(db.ActiveDomain().Contains(Oid::Int(30)));
+  EXPECT_TRUE(db.ActiveDomain().Contains(Oid::Int(31)));
+  ASSERT_TRUE(db.ClearAttribute(A("mary"), A("Ages")).ok());
+  EXPECT_FALSE(db.ActiveDomain().Contains(Oid::Int(30)));
+  EXPECT_FALSE(db.ActiveDomain().Contains(A("Ages")));
+  EXPECT_TRUE(db.ActiveDomain().Contains(A("Age")));
+  EXPECT_TRUE(db.ActiveDomain().Contains(A("Person")));
 }
 
 TEST(DatabaseTest, VersionBumpsOnMutation) {

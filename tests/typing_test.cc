@@ -5,9 +5,11 @@
 
 #include "eval/session.h"
 #include "parser/parser.h"
+#include "store/catalog.h"
 #include "typing/type_checker.h"
 #include "typing/type_expr.h"
 #include "workload/fig1_schema.h"
+#include "workload/generator.h"
 
 namespace xsql {
 namespace {
@@ -253,6 +255,92 @@ TEST_F(TypingTest, IllTypedQueryEvaluatesToEmpty) {
       session.Query("SELECT X FROM Vehicle X WHERE X.Salary > 0");
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kTypeError);
+}
+
+// Theorem 6.1(2)'s handle skips a range class when a proper subclass of
+// it is also in the range (Extent(sub) ⊆ Extent(super), literal classes
+// included). Over every range the type checker emits for the paper's
+// queries, and for ranges naming literal classes, the pruned candidates
+// equal the intersection of every class extent.
+TEST(RangeCandidatesTest, PruningEqualsFullIntersection) {
+  Database db;
+  ASSERT_TRUE(workload::BuildFig1Schema(&db).ok());
+  workload::WorkloadParams params;
+  params.companies = 2;
+  ASSERT_TRUE(workload::GenerateFig1Data(&db, params).ok());
+  auto full_intersection = [&](const VarRange& range) {
+    OidSet out = db.Extent(range.classes().front());
+    for (const Oid& cls : range.classes()) {
+      out = OidSet::Intersect(out, db.Extent(cls));
+    }
+    return out;
+  };
+  const char* kQueries[] = {
+      "SELECT C WHERE mary123.Residence.City[C]",
+      "SELECT Y FROM Person X WHERE X.Residence[Y].City['newyork']",
+      "SELECT Z FROM Employee X, Automobile Y "
+      "WHERE X.OwnedVehicles[Y].Drivetrain.Engine[Z]",
+      "SELECT \"Y FROM Person X WHERE X.\"Y.City['newyork']",
+      "SELECT $X WHERE TurboEngine subclassOf $X",
+      "SELECT X FROM Employee X WHERE X.FamMembers.Age some> 20",
+      "SELECT X FROM Automobile Y WHERE Y.Manufacturer[X] and "
+      "X.President.OwnedVehicles.Color containsEq {'blue', 'red'} and "
+      "X.President.Age < 30",
+      "SELECT X FROM Employee X WHERE count(X.FamMembers) > 4 and "
+      "X.Salary < 35000",
+      "SELECT X.Name, W.Salary FROM Company X WHERE X.Divisions.Employees[W]",
+      "SELECT X, Y FROM Company X WHERE X.Name =some "
+      "X.Divisions.Employees[Y].Name",
+      "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary =all Y.Age",
+      // Selectors bound to literal-valued attributes.
+      "SELECT A FROM Person X WHERE X.Age[A]",
+      "SELECT X, C FROM Address X WHERE X.City[C]",
+  };
+  size_t ranges_checked = 0;
+  size_t pruned = 0;
+  size_t literal = 0;
+  for (const char* text : kQueries) {
+    auto stmt = ParseAndResolve(text, db);
+    ASSERT_TRUE(stmt.ok()) << text << ": " << stmt.status().ToString();
+    const Query& q = *stmt->query->simple;
+    for (TypingMode mode : {TypingMode::kStrict, TypingMode::kLiberal}) {
+      TypingResult typing = TypeChecker(db).Check(q, mode);
+      for (const auto& [var, range] : typing.ranges) {
+        EXPECT_EQ(range.CandidateOids(db), full_intersection(range))
+            << text << ": " << var.ToString() << " in " << range.ToString();
+        ++ranges_checked;
+        for (const Oid& cls : range.classes()) {
+          if (db.graph().IsSubclassEq(cls, builtin::Numeral()) ||
+              db.graph().IsSubclassEq(cls, builtin::String())) {
+            ++literal;
+          }
+        }
+        for (const Oid& a : range.classes()) {
+          for (const Oid& b : range.classes()) {
+            if (db.graph().IsStrictSubclass(a, b)) ++pruned;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ranges_checked, 10u);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(literal, 0u);
+  // Ranges naming literal classes, which draw on the active domain.
+  for (const std::vector<Oid>& classes :
+       std::vector<std::vector<Oid>>{{builtin::Numeral()},
+                                     {builtin::Numeral(), builtin::String()},
+                                     {builtin::String(), A("Person")},
+                                     {builtin::NilClass()}}) {
+    VarRange range;  // {Object}
+    for (const Oid& cls : classes) range.Add(cls);
+    EXPECT_EQ(range.CandidateOids(db), full_intersection(range))
+        << range.ToString();
+  }
+  VarRange numerals;
+  numerals.Add(builtin::Numeral());
+  EXPECT_FALSE(numerals.CandidateOids(db).empty());
+  EXPECT_EQ(numerals.CandidateOids(db), db.Extent(builtin::Numeral()));
 }
 
 }  // namespace
