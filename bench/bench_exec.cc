@@ -1,12 +1,13 @@
 // B16 — batch-at-a-time execution, serial and fanned out
-// (EXPERIMENTS.md §B16). The workloads are the near-quadratic B14
-// joins the planner CANNOT hash-join (`=all` is not hash-joinable;
-// ordered var-var comparisons aren't either), so the conjunct driver
-// runs the nested loop over FROM candidate arrays materialized once
-// per slot, with per-batch prefilters over a selection vector. The
-// parallel variant fans the outer extent across a worker pool — on a
-// multi-core host it adds on top of the serial driver; on a
-// single-core host it measures fork/join overhead honestly.
+// (EXPERIMENTS.md §B16). The workloads are near-quadratic joins the
+// planner CANNOT hash-join (ordered var-var comparisons), so the
+// conjunct driver runs the nested loop over FROM candidate arrays
+// materialized once per slot, with per-batch prefilters over a
+// selection vector. The parallel variant fans the outer extent across
+// a worker pool — on a multi-core host it adds on top of the serial
+// driver; on a single-core host it measures fork/join overhead
+// honestly. A third rung runs the former B16 workloads, the `=all`
+// joins, which now ride the hash join.
 //
 // ci.sh runs this binary with --benchmark_format=json and publishes
 // the result as BENCH_exec.json.
@@ -24,15 +25,19 @@ namespace xsql {
 namespace bench {
 namespace {
 
-// The two B16 workloads (B14 join shapes, scale-quadratic probe count,
-// near-empty answers so output cost never masks the scan cost).
-//  W0: the B14 `=all` self-join verbatim — the planner refuses to
-//      hash-join it (vacuous truth on empty sides), so every run makes
-//      |Employee|^2 probes.
-//  W1: ordered cross-class comparison — salaries (10k..90k) never
-//      equal ages, so the |Employee|x|Person| loop scans to an empty
-//      answer.
+// The two B16 workloads (scale-quadratic probe count, empty answers
+// so output cost never masks the scan cost). Salaries (20000..120000)
+// always exceed ages (12..80), and every person has an age.
+//  W0: Employee² ordered self-join.
+//  W1: Employee × Person ordered cross-class join.
 const char* kWorkloads[] = {
+    "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary <all Y.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary <all Y.Age",
+};
+
+// The `=all` joins (B14 shapes, the former W0 and W1): hash-joined on
+// shared terminal values or an empty =all side.
+const char* kAllJoins[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
     "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary =all Y.Age",
 };
@@ -93,12 +98,19 @@ void BM_BatchParallel(benchmark::State& state) {
   RunWorkload(state, sessions.parallel.get(), kWorkloads[state.range(0)]);
 }
 
+void BM_AllJoin(benchmark::State& state) {
+  ExecSessions& sessions =
+      GetExecSessions(static_cast<size_t>(state.range(1)));
+  RunWorkload(state, sessions.batch.get(), kAllJoins[state.range(0)]);
+}
+
 #define B16_ARGS                                              \
   ->Args({0, 1})->Args({0, 8})->Args({1, 1})->Args({1, 8})    \
       ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_BatchSerial) B16_ARGS;
 BENCHMARK(BM_BatchParallel) B16_ARGS;
+BENCHMARK(BM_AllJoin) B16_ARGS;
 
 }  // namespace
 }  // namespace bench

@@ -145,8 +145,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   cmake --build build/perfbench -j "$JOBS"
   # B16 as a machine-readable artifact (build/BENCH_exec.json): serial
   # vs parallel batch execution on the near-quadratic join workloads,
-  # diffable across commits. Bounded min-time keeps it a
-  # smoke measurement; EXPERIMENTS.md records the full runs.
+  # plus the `=all` hash joins, diffable across commits. Bounded
+  # min-time keeps it a smoke measurement; EXPERIMENTS.md records the
+  # full runs.
   echo "==> exec benchmark artifact (build/BENCH_exec.json)"
   ./build/bench/bench_exec --benchmark_min_time=0.05 \
     --benchmark_format=json --benchmark_out=build/BENCH_exec.json \

@@ -1,7 +1,9 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "eval/aggregate.h"
@@ -714,12 +716,15 @@ class ConjunctDriver {
   /// Evaluates a variable-variable equality conjunct as a hash join:
   /// builds a table from terminal values to head objects over the
   /// smaller side's candidates, probes it with the larger side's, and
-  /// re-tests the exact §3.2 comparison on every candidate pair. The
-  /// probe is a *complete* filter for `=` under kNone/kSome quantifiers
-  /// — a true comparison needs a shared element — so no solution is
-  /// lost; the ground re-test keeps the singleton requirement of kNone
-  /// exact. Replaces the O(|L|·|R|) nested loop with O(|L|+|R|) side
-  /// evaluations plus output pairs.
+  /// re-tests the exact §3.2 comparison on every candidate pair. A
+  /// pair is a candidate when its sides share a terminal value or a
+  /// kAll-quantified side is empty. That filter is *complete* for `=`
+  /// under every quantifier pair: with both sides non-empty, each
+  /// combination needs an `a == b` witness, and with one side empty
+  /// only `∀` over ∅ can hold. So no solution is lost; the ground
+  /// re-test keeps the singleton requirement of kNone and the
+  /// all-elements requirement of kAll exact. Replaces the O(|L|·|R|)
+  /// nested loop with O(|L|+|R|) side evaluations plus candidate pairs.
   Status EvalHashJoin(const Condition* cond, size_t lhs_from,
                       size_t rhs_from, Binding* binding,
                       const std::function<Status()>& next) {
@@ -746,17 +751,24 @@ class ConjunctDriver {
         build_left ? *froms_[rhs_from] : *froms_[lhs_from];
     const ValueExpr& build_expr = build_left ? cond->lhs : cond->rhs;
     const ValueExpr& probe_expr = build_left ? cond->rhs : cond->lhs;
+    const bool build_all =
+        (build_left ? cond->lquant : cond->rquant) == Quant::kAll;
+    const bool probe_all =
+        (build_left ? cond->rquant : cond->lquant) == Quant::kAll;
     const std::vector<Oid>& build_cands = build_left ? lhs_cands : rhs_cands;
     const std::vector<Oid>& probe_cands = build_left ? rhs_cands : lhs_cands;
 
     // Terminal value -> positions (in candidate order) of build heads
-    // reaching it.
+    // reaching it, plus the positions whose kAll side is empty: those
+    // partner every probe.
     std::unordered_map<Oid, std::vector<size_t>, OidHash> table;
+    std::vector<size_t> vacuous;
     for (size_t bi = 0; bi < build_cands.size(); ++bi) {
       XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
       BindScope scope(binding, build_entry.var, build_cands[bi]);
       XSQL_ASSIGN_OR_RETURN(OidSet values,
                             ev_->EvalValue(build_expr, binding, *opts_));
+      if (build_all && values.empty()) vacuous.push_back(bi);
       for (const Oid& v : values) table[v].push_back(bi);
     }
     for (const Oid& probe_oid : probe_cands) {
@@ -767,10 +779,17 @@ class ConjunctDriver {
       // Distinct partners in candidate order: a pair must surface once
       // no matter how many terminal values it shares.
       std::vector<size_t> partners;
-      for (const Oid& v : values) {
-        auto it = table.find(v);
-        if (it == table.end()) continue;
-        partners.insert(partners.end(), it->second.begin(), it->second.end());
+      if (probe_all && values.empty()) {
+        partners.resize(build_cands.size());
+        std::iota(partners.begin(), partners.end(), size_t{0});
+      } else {
+        partners = vacuous;
+        for (const Oid& v : values) {
+          auto it = table.find(v);
+          if (it == table.end()) continue;
+          partners.insert(partners.end(), it->second.begin(),
+                          it->second.end());
+        }
       }
       std::sort(partners.begin(), partners.end());
       partners.erase(std::unique(partners.begin(), partners.end()),
@@ -1622,8 +1641,17 @@ Result<OidSet> Evaluator::EvalValue(const ValueExpr& expr, Binding* binding,
           r = x / y;
           break;
       }
+      // A stored non-finite real could not be checkpointed (the
+      // snapshot loader rejects it), and no XSQL literal denotes one.
+      if (!std::isfinite(r)) {
+        return Status::RuntimeError("arithmetic overflow");
+      }
       OidSet out;
       if (a.is_int() && b.is_int() && expr.arith_op != ArithOp::kDiv) {
+        // Outside [-2^63, 2^63) the cast below is undefined.
+        if (r < -0x1p63 || r >= 0x1p63) {
+          return Status::RuntimeError("integer overflow");
+        }
         out.Insert(Oid::Int(static_cast<int64_t>(r)));
       } else {
         out.Insert(Oid::Real(r));

@@ -106,7 +106,15 @@ size_t Oid::Hash() const {
       mix(std::hash<int64_t>{}(int_));
       break;
     case OidKind::kReal:
-      mix(std::hash<double>{}(real_));
+      // Must agree with Compare: every NaN is one value whatever its
+      // sign and payload, and -0.0 equals +0.0.
+      if (std::isnan(real_)) {
+        mix(0x7FF8000000000000ULL);
+      } else if (real_ == 0.0) {
+        mix(0);
+      } else {
+        mix(std::hash<double>{}(real_));
+      }
       break;
     case OidKind::kString:
     case OidKind::kAtom:

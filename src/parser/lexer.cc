@@ -1,6 +1,9 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <string>
 
 #include "common/str_util.h"
 
@@ -65,12 +68,20 @@ Result<std::vector<Token>> Lex(const std::string& input) {
       Token t;
       t.pos = start;
       t.text = input.substr(i, j - i);
+      // strtod/strtoll report a value out of range through errno
+      // (overflow, or a real that underflows); std::stod/stoll would
+      // throw instead.
+      errno = 0;
       if (is_real) {
         t.type = TokenType::kReal;
-        t.real_value = std::stod(t.text);
+        t.real_value = std::strtod(t.text.c_str(), nullptr);
       } else {
         t.type = TokenType::kInt;
-        t.int_value = std::stoll(t.text);
+        t.int_value = std::strtoll(t.text.c_str(), nullptr, 10);
+      }
+      if (errno == ERANGE) {
+        return Status::ParseError("numeric literal out of range at offset " +
+                                  std::to_string(start));
       }
       tokens.push_back(std::move(t));
       i = j;

@@ -225,7 +225,6 @@ class PurityScan {
 bool Planner::HashJoinableShape(const Condition& cond) {
   if (cond.kind != Condition::Kind::kComparison) return false;
   if (cond.comp_op != CompOp::kEq) return false;
-  if (cond.lquant == Quant::kAll || cond.rquant == Quant::kAll) return false;
   if (cond.lhs.kind != ValueExpr::Kind::kPath ||
       cond.rhs.kind != ValueExpr::Kind::kPath) {
     return false;
@@ -322,7 +321,11 @@ QueryPlan Planner::Plan(const Query& query, const RangeMap* ranges) const {
           plan.decisions.push_back(
               "hash join p" + std::to_string(i) + ": " +
               cond.lhs.path.head.var.ToString() + " with " +
-              cond.rhs.path.head.var.ToString() + " on shared terminal values");
+              cond.rhs.path.head.var.ToString() +
+              " on shared terminal values" +
+              (cond.lquant == Quant::kAll || cond.rquant == Quant::kAll
+                   ? " or an empty =all side"
+                   : ""));
         } else if (SideIsGround(cond.lhs) || SideIsGround(cond.rhs)) {
           rank = kRankConstComparison;
         } else {

@@ -72,10 +72,10 @@ class Planner {
   QueryPlan Plan(const Query& query, const RangeMap* ranges = nullptr) const;
 
   /// True when `cond` has the shape a hash join can serve: an equality
-  /// `P1 =... P2` with no kAll quantifier, both sides plain path
+  /// `P1 =... P2` under any quantifiers, both sides plain path
   /// expressions whose only variable is the (distinct) head variable.
-  /// kAll is excluded because an empty side satisfies it vacuously,
-  /// which the shared-terminal-value filter cannot see.
+  /// An empty kAll side satisfies the comparison vacuously, so the
+  /// join partners such a side with every candidate on the other.
   static bool HashJoinableShape(const Condition& cond);
 
  private:

@@ -60,6 +60,24 @@ TEST(CompareOidsTest, EqualityIsOidIdentityNotIeee) {
   EXPECT_EQ(set.size(), 2u);
 }
 
+TEST(CompareOidsTest, HashAgreesWithEqualityOnNaNAndSignedZero) {
+  // Hash containers keyed by Oid (the hash join's table among them)
+  // must find every key that == finds. The quiet NaN, the sign-bit
+  // NaN that inf - inf yields, and a payload NaN are all one oid.
+  const double inf = kInf;
+  const double nans[] = {kNaN, inf - inf, -kNaN, std::nan("7")};
+  for (double a : nans) {
+    for (double b : nans) {
+      ASSERT_TRUE(Oid::Real(a) == Oid::Real(b));
+      EXPECT_EQ(Oid::Real(a).Hash(), Oid::Real(b).Hash());
+    }
+  }
+  ASSERT_TRUE(Oid::Real(0.0) == Oid::Real(-0.0));
+  EXPECT_EQ(Oid::Real(0.0).Hash(), Oid::Real(-0.0).Hash());
+  // Still a real hash: distinct ordinary reals do not collapse.
+  EXPECT_NE(Oid::Real(1.5).Hash(), Oid::Real(2.5).Hash());
+}
+
 TEST(CompareOidsTest, InfinitiesAreOrdered) {
   EXPECT_EQ(CompareOids(Oid::Real(-kInf), Oid::Real(kInf)), -1);
   EXPECT_EQ(CompareOids(Oid::Real(kInf), Oid::Real(-kInf)), 1);

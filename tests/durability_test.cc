@@ -145,6 +145,37 @@ TEST_F(DurabilityTest, FailedStatementLeavesNoTrace) {
   EXPECT_EQ(*size, bytes);
 }
 
+TEST_F(DurabilityTest, NonFiniteArithmeticIsRejectedNotStored) {
+  // The snapshot loader rejects non-finite reals, so a statement that
+  // stored one used to ack, checkpoint, and leave the directory
+  // unopenable. Sixteen factors of 1e20 overflow a double; an integer
+  // result beyond int64 is rejected alike.
+  std::string product = "100000000000000000000.0";
+  for (int i = 1; i < 16; ++i) product += " * 100000000000000000000.0";
+  std::string before;
+  {
+    auto dd = MustOpen(dir_);
+    ASSERT_NE(dd, nullptr);
+    MustExecute(dd.get(), Prelude());
+    before = SaveSnapshot(dd->db());
+    const uint64_t records = dd->wal_records();
+    for (const std::string& value :
+         {product, std::string("9223372036854775807 * 2")}) {
+      auto out =
+          dd->Execute("UPDATE CLASS Person SET mary.Salary = " + value);
+      ASSERT_FALSE(out.ok()) << value;
+      EXPECT_EQ(out.status().code(), StatusCode::kRuntimeError)
+          << out.status().ToString();
+    }
+    EXPECT_EQ(dd->wal_records(), records);
+    EXPECT_EQ(SaveSnapshot(dd->db()), before);
+    ASSERT_TRUE(dd->Checkpoint().ok());
+  }
+  auto dd = MustOpen(dir_);
+  ASSERT_NE(dd, nullptr);
+  EXPECT_EQ(SaveSnapshot(dd->db()), before);
+}
+
 TEST_F(DurabilityTest, ViewsAndMethodsSurviveReopen) {
   std::string acked;
   {

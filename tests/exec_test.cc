@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -85,6 +87,18 @@ const char* kJoinTemplates[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE "
     "X.FamMembers.Age =some Y.FamMembers.Age",
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
+    // Empty kAll sides (employees with no family) partner every
+    // candidate on the other side of the hash join.
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age =all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age some=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.FamMembers.Age all= Y.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE "
+    "X.FamMembers.Age all=some Y.Age",
+    "SELECT X, Y FROM Person X, Employee Y WHERE X.Age =all Y.FamMembers.Age",
     "SELECT X, Y, Z FROM Employee X, Employee Y, Company Z WHERE "
     "X.Salary =some Y.Salary and Z.Divisions.Employees[X]",
     // Pure, but a class-variable entry never caches its candidates.
@@ -230,6 +244,38 @@ TEST_P(ExecDifferentialTest, AllModesEqualOnImpureTemplates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialTest,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+TEST(HashJoinTest, SignedNaNTerminalValuesJoinAsOneValue) {
+  // `=` is oid identity, under which every NaN is one value: the quiet
+  // NaN and the sign-bit NaN that inf - inf yields must meet in the
+  // hash join's table as they meet in the planner-off pairwise test.
+  Database db;
+  BuildTinyDb(&db, 1);
+  const OidSet employees = db.Extent(A("Employee"));
+  ASSERT_GE(employees.size(), 2u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Oid first = *employees.begin();
+  const Oid second = *std::next(employees.begin());
+  ASSERT_TRUE(db.SetScalar(first, A("Salary"), Oid::Real(nan)).ok());
+  ASSERT_TRUE(db.SetScalar(second, A("Salary"), Oid::Real(-nan)).ok());
+  for (const char* text :
+       {"SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =some "
+        "Y.Salary",
+        "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all "
+        "Y.Salary"}) {
+    auto stmt = ParseAndResolve(text, db);
+    ASSERT_TRUE(stmt.ok()) << text;
+    Planner planner(db, nullptr);
+    ASSERT_EQ(planner.Plan(*stmt->query->simple).hash_joinable,
+              std::vector<bool>{true})
+        << text;
+    ExpectAllModesEqual(&db, text);
+    auto planned = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+    ASSERT_TRUE(planned.ok()) << text;
+    EXPECT_EQ(Rows(planned->relation).count({first, second}), 1u) << text;
+    EXPECT_EQ(Rows(planned->relation).count({second, first}), 1u) << text;
+  }
+}
 
 // ------------------------------------------------------- one driver
 

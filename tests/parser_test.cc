@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <string>
 
 #include "parser/lexer.h"
 #include "workload/fig1_schema.h"
@@ -61,6 +63,27 @@ TEST(LexerTest, CommentsAndErrors) {
   EXPECT_FALSE(Lex("'unterminated").ok());
   EXPECT_FALSE(Lex("a ! b").ok());
   EXPECT_FALSE(Lex("$ x").ok());
+}
+
+TEST(LexerTest, OutOfRangeNumericLiteralsAreParseErrors) {
+  // A literal the lexer cannot represent is the client's error, not a
+  // process abort: the conversions used to throw std::out_of_range.
+  auto max = Lex("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].int_value, INT64_MAX);
+  const std::string too_big_int = "99999999999999999999";
+  const std::string too_big_real = std::string(400, '9') + ".0";
+  const std::string too_small_real = "0." + std::string(400, '0') + "1";
+  for (const std::string& literal :
+       {std::string("9223372036854775808"), too_big_int, too_big_real,
+        too_small_real}) {
+    auto tokens = Lex(literal);
+    ASSERT_FALSE(tokens.ok()) << literal;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  }
+  auto stmt = Parse("SELECT X WHERE " + too_big_int + "[X]");
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
 }
 
 class ParserTest : public ::testing::Test {

@@ -60,9 +60,20 @@ const char* kJoinTemplates[] = {
     "X.Residence.City =some Y.Residence.City",
     "SELECT X, Y FROM Employee X, Employee Y WHERE "
     "X.FamMembers.Age =some Y.FamMembers.Age",
-    // =all is NOT hash-joinable (vacuous truth on empty sides) — the
-    // differential still must hold because the planner refuses it.
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
+    // kAll sides hash-join too: an employee with no family has an empty
+    // FamMembers.Age, which satisfies kAll vacuously, so these pin the
+    // join's empty-side partners under every kAll quantifier pair.
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age =all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age some=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.FamMembers.Age all= Y.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE "
+    "X.FamMembers.Age all=some Y.Age",
+    "SELECT X, Y FROM Person X, Employee Y WHERE X.Age =all Y.FamMembers.Age",
     // Three-way: two join conjuncts plus a constant filter.
     "SELECT X, Y, Z FROM Employee X, Employee Y, Company Z WHERE "
     "X.Salary =some Y.Salary and Z.Divisions.Employees[X]",
@@ -201,14 +212,23 @@ TEST_F(PlannerTest, EqualitySomeJoinIsHashJoinable) {
   EXPECT_TRUE(plan.allow_reorder);
 }
 
-TEST_F(PlannerTest, AllQuantifierIsNotHashJoinable) {
-  // =all holds vacuously on an empty side; a shared-terminal-value
-  // probe cannot see those answers, so the planner must refuse.
+TEST_F(PlannerTest, AllQuantifierJoinIsHashJoinable) {
+  // =all holds vacuously on an empty side; the join partners such a
+  // side with every candidate, so the shape is joinable and EXPLAIN
+  // says why.
   QueryPlan plan = PlanFor(
       "SELECT X, Y FROM Employee X, Employee Y WHERE "
       "X.Salary =all Y.Salary");
   ASSERT_EQ(plan.hash_joinable.size(), 1u);
-  EXPECT_FALSE(plan.hash_joinable[0]);
+  EXPECT_TRUE(plan.hash_joinable[0]);
+  bool explained = false;
+  for (const std::string& d : plan.decisions) {
+    if (d.find("hash join p0") != std::string::npos &&
+        d.find("or an empty =all side") != std::string::npos) {
+      explained = true;
+    }
+  }
+  EXPECT_TRUE(explained);
 }
 
 TEST_F(PlannerTest, ConstantComparisonIsNotHashJoinable) {

@@ -124,6 +124,27 @@ TEST_F(ServerTest, RemoteErrorsCarryTheStatus) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+TEST_F(ServerTest, OutOfRangeLiteralIsAnErrorNotACrash) {
+  // The server lexes every statement to classify it, so a literal the
+  // lexer cannot represent used to abort the whole process.
+  StartServer();
+  Client client = MustConnect();
+  for (const char* stmt :
+       {"SELECT X WHERE 99999999999999999999[X]",
+        "UPDATE CLASS Person SET mary.Salary = 99999999999999999999"}) {
+    auto out = client.Execute(stmt);
+    ASSERT_FALSE(out.ok()) << stmt;
+    EXPECT_NE(out.status().message().find("ParseError"), std::string::npos)
+        << out.status().ToString();
+  }
+  // The server keeps serving, on this connection and on a new one.
+  EXPECT_TRUE(client.Ping().ok());
+  Client other = MustConnect();
+  auto out = other.Execute("SELECT S WHERE mary.Salary[S]");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_NE(out->find("100"), std::string::npos) << *out;
+}
+
 TEST_F(ServerTest, ConcurrentClientsShareOneDatabase) {
   constexpr int kClients = 4;
   constexpr int kStatements = 20;
