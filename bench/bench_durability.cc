@@ -153,6 +153,28 @@ void BM_Checkpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMicrosecond);
 
+// The generator's Figure-1 instance at `scale`, built on first use and
+// kept in `instances`: the library may call a benchmark function several
+// times while it sizes the iteration count. Each benchmark keeps its own
+// map, so one's writes never reach another's instance.
+Database* Fig1Instance(std::map<size_t, std::unique_ptr<Database>>* instances,
+                       size_t scale, benchmark::State& state) {
+  std::unique_ptr<Database>& db = (*instances)[scale];
+  if (db == nullptr) {
+    db = std::make_unique<Database>();
+    workload::WorkloadParams params;
+    Status st = workload::BuildFig1Schema(db.get());
+    if (st.ok()) {
+      st = workload::GenerateFig1Data(db.get(), params.Scaled(scale)).status();
+    }
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      db.reset();
+    }
+  }
+  return db.get();
+}
+
 // Write cost against database size (the generator scale): one point
 // UPDATE, then the snapshot fork and new COW epoch the server takes
 // after every write. Each write stores a fresh value, so the active
@@ -160,23 +182,12 @@ BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMicrosecond);
 // domain maintained per write, the time should stay flat across scales.
 void BM_PointWriteCost(benchmark::State& state) {
   const size_t scale = static_cast<size_t>(state.range(0));
-  // Generated once per scale: the library may call this function
-  // several times while it sizes the iteration count.
-  static std::map<size_t, std::unique_ptr<Database>>& instances =
-      *new std::map<size_t, std::unique_ptr<Database>>();
-  std::unique_ptr<Database>& db = instances[scale];
-  workload::WorkloadParams params;
-  params = params.Scaled(scale);
-  if (db == nullptr) {
-    db = std::make_unique<Database>();
-    Status st = workload::BuildFig1Schema(db.get());
-    if (st.ok()) st = workload::GenerateFig1Data(db.get(), params).status();
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-  }
-  Session session(db.get());
+  static auto& instances = *new std::map<size_t, std::unique_ptr<Database>>();
+  Database* db = Fig1Instance(&instances, scale, state);
+  if (db == nullptr) return;
+  const workload::WorkloadParams params =
+      workload::WorkloadParams().Scaled(scale);
+  Session session(db);
   static int64_t next_value = 1'000'000;
   size_t person = 0;
   for (auto _ : state) {
@@ -193,6 +204,33 @@ void BM_PointWriteCost(benchmark::State& state) {
   state.counters["domain"] = static_cast<double>(db->ActiveDomain().size());
 }
 BENCHMARK(BM_PointWriteCost)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+
+// Insert cost against database size: a fresh object into Employee (the
+// largest class extent below Person), then the fork and new COW epoch
+// of every write. The insert joins one class extent and one per-oid
+// shard, so the time should stay flat across scales like a point write.
+void BM_PointInsertCost(benchmark::State& state) {
+  const size_t scale = static_cast<size_t>(state.range(0));
+  static auto& instances = *new std::map<size_t, std::unique_ptr<Database>>();
+  Database* db = Fig1Instance(&instances, scale, state);
+  if (db == nullptr) return;
+  static int64_t next_object = 0;
+  const Oid employee = Oid::Atom("Employee");
+  for (auto _ : state) {
+    Status st = db->NewObject(
+        Oid::Atom("inserted" + std::to_string(next_object++)), {employee});
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    std::unique_ptr<Database> snapshot = db->Fork();
+    db->BeginNewEpoch();
+    benchmark::DoNotOptimize(snapshot);
+  }
+  state.counters["objects"] = static_cast<double>(db->object_count());
+}
+BENCHMARK(BM_PointInsertCost)
     ->Arg(8)
     ->Arg(32)
     ->Arg(128)

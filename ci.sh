@@ -152,11 +152,13 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   ./build/bench/bench_exec --benchmark_min_time=0.05 \
     --benchmark_format=json --benchmark_out=build/BENCH_exec.json \
     > /dev/null
-  # The write-cost scale ladder (build/BENCH_write.json): one point
-  # UPDATE plus the snapshot fork at generator scales 8, 32 and 128. A
-  # slope here means a write costs O(database) again.
+  # The write-cost scale ladders (build/BENCH_write.json): one point
+  # UPDATE, and one object insert, each plus the snapshot fork at
+  # generator scales 8, 32 and 128. A slope here means a write costs
+  # O(database) again.
   echo "==> write-cost benchmark artifact (build/BENCH_write.json)"
-  ./build/bench/bench_durability --benchmark_filter=BM_PointWriteCost \
+  ./build/bench/bench_durability \
+    --benchmark_filter='BM_Point(Write|Insert)Cost' \
     --benchmark_min_time=0.05 --benchmark_format=json \
     --benchmark_out=build/BENCH_write.json > /dev/null
 fi

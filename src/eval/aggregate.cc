@@ -13,23 +13,41 @@ Result<Oid> EvalAggregate(AggFn fn, const OidSet& values) {
     case AggFn::kSum:
     case AggFn::kAvg: {
       double total = 0;
+      // An all-Int SUM is exact in int64: a detour through double would
+      // round above 2^53, and casting an out-of-range double back is
+      // undefined.
+      int64_t int_total = 0;
+      bool int_overflow = false;
       bool all_int = true;
       for (const Oid& v : values) {
         if (!v.is_numeric()) {
           return Status::RuntimeError("sum/avg over non-numeric value " +
                                       v.ToString());
         }
-        if (!v.is_int()) all_int = false;
         total += v.numeric_value();
+        if (v.is_int()) {
+          int_overflow |=
+              __builtin_add_overflow(int_total, v.int_value(), &int_total);
+        } else {
+          all_int = false;
+        }
       }
-      if (fn == AggFn::kSum) {
-        if (all_int) return Oid::Int(static_cast<int64_t>(total));
-        return Oid::Real(total);
+      if (fn == AggFn::kSum && all_int) {
+        if (int_overflow) return Status::RuntimeError("integer overflow");
+        return Oid::Int(int_total);
       }
-      if (values.empty()) {
-        return Status::RuntimeError("avg of empty set");
+      if (fn == AggFn::kAvg) {
+        if (values.empty()) {
+          return Status::RuntimeError("avg of empty set");
+        }
+        total /= static_cast<double>(values.size());
       }
-      return Oid::Real(total / static_cast<double>(values.size()));
+      // A stored non-finite real could not be checkpointed (the snapshot
+      // loader rejects it), and no XSQL literal denotes one.
+      if (!std::isfinite(total)) {
+        return Status::RuntimeError("arithmetic overflow");
+      }
+      return Oid::Real(total);
     }
     case AggFn::kMin:
     case AggFn::kMax: {

@@ -956,7 +956,7 @@ PathEvaluator Evaluator::MakePathEvaluator(const EvalOptions& opts) {
 }
 
 std::vector<Oid> Evaluator::ClassesForInvoke(const Oid& oid) const {
-  std::vector<Oid> classes = db_->graph().DirectClassesOf(oid);
+  std::vector<Oid> classes = db_->DirectClassesOf(oid);
   if (oid.is_numeric()) classes.push_back(builtin::Numeral());
   if (oid.is_string()) classes.push_back(builtin::String());
   if (oid.is_bool()) classes.push_back(builtin::Boolean());
@@ -999,7 +999,7 @@ OidSet Evaluator::MethodsOn(const Oid& receiver, size_t arity) {
     if (const Object* obj = db_->GetObject(receiver)) {
       for (const auto& [attr, value] : obj->attrs()) out.Insert(attr);
     }
-    for (const Oid& cls : db_->graph().AllClassesOf(receiver)) {
+    for (const Oid& cls : db_->AllClassesOf(receiver)) {
       if (const Object* class_obj = db_->GetObject(cls)) {
         for (const auto& [attr, value] : class_obj->attrs()) out.Insert(attr);
       }
@@ -1623,6 +1623,20 @@ Result<OidSet> Evaluator::EvalValue(const ValueExpr& expr, Binding* binding,
       if (!a.is_numeric() || !b.is_numeric()) {
         return Status::RuntimeError("arithmetic on non-numeric values");
       }
+      OidSet out;
+      if (a.is_int() && b.is_int() && expr.arith_op != ArithOp::kDiv) {
+        // Exact in int64: a detour through double would round above 2^53.
+        int64_t r = 0;
+        const bool overflow =
+            expr.arith_op == ArithOp::kAdd
+                ? __builtin_add_overflow(a.int_value(), b.int_value(), &r)
+            : expr.arith_op == ArithOp::kSub
+                ? __builtin_sub_overflow(a.int_value(), b.int_value(), &r)
+                : __builtin_mul_overflow(a.int_value(), b.int_value(), &r);
+        if (overflow) return Status::RuntimeError("integer overflow");
+        out.Insert(Oid::Int(r));
+        return out;
+      }
       double x = a.numeric_value();
       double y = b.numeric_value();
       double r = 0;
@@ -1646,16 +1660,7 @@ Result<OidSet> Evaluator::EvalValue(const ValueExpr& expr, Binding* binding,
       if (!std::isfinite(r)) {
         return Status::RuntimeError("arithmetic overflow");
       }
-      OidSet out;
-      if (a.is_int() && b.is_int() && expr.arith_op != ArithOp::kDiv) {
-        // Outside [-2^63, 2^63) the cast below is undefined.
-        if (r < -0x1p63 || r >= 0x1p63) {
-          return Status::RuntimeError("integer overflow");
-        }
-        out.Insert(Oid::Int(static_cast<int64_t>(r)));
-      } else {
-        out.Insert(Oid::Real(r));
-      }
+      out.Insert(Oid::Real(r));
       return out;
     }
     case ValueExpr::Kind::kSubquery: {

@@ -13,7 +13,7 @@ bool PathEvaluator::SortAdmits(const Variable& var, const Oid& oid) const {
     case VarSort::kClass:
       return db_.graph().IsClass(oid);
     case VarSort::kMethod:
-      return db_.graph().IsInstanceOf(oid, builtin::MetaMethod());
+      return db_.IsInstanceOf(oid, builtin::MetaMethod());
     case VarSort::kPath:
       return oid.is_term() && oid.term_fn() == "path";
   }

@@ -169,14 +169,15 @@ OidSet::OidSet(std::vector<Oid> elems) : elems_(std::move(elems)) {
   if (elems_.size() < before / 2) elems_.shrink_to_fit();
 }
 
+OidSet OidSet::FromSorted(std::vector<Oid> elems) {
+  OidSet out;
+  out.elems_ = std::move(elems);
+  return out;
+}
+
 void OidSet::Insert(const Oid& oid) {
   auto it = std::lower_bound(elems_.begin(), elems_.end(), oid);
   if (it == elems_.end() || !(*it == oid)) elems_.insert(it, oid);
-}
-
-void OidSet::Erase(const Oid& oid) {
-  auto it = std::lower_bound(elems_.begin(), elems_.end(), oid);
-  if (it != elems_.end() && *it == oid) elems_.erase(it);
 }
 
 bool OidSet::Contains(const Oid& oid) const {

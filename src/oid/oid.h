@@ -114,10 +114,11 @@ class OidSet {
  public:
   OidSet() = default;
   explicit OidSet(std::vector<Oid> elems);
+  /// Adopts `elems` as is: the caller guarantees it is sorted and free
+  /// of duplicates (a merge of sorted runs), so no O(n) re-check runs.
+  static OidSet FromSorted(std::vector<Oid> elems);
 
   void Insert(const Oid& oid);
-  /// Removes `oid` if present.
-  void Erase(const Oid& oid);
   bool Contains(const Oid& oid) const;
   bool empty() const { return elems_.empty(); }
   size_t size() const { return elems_.size(); }

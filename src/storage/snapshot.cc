@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 
 #include "storage/file.h"
@@ -251,7 +252,7 @@ std::string SaveSnapshot(const Database& db) {
       }
     }
   }
-  std::vector<std::pair<Oid, Oid>> inst = db.graph().AllInstancePairs();
+  std::vector<std::pair<Oid, Oid>> inst = db.AllInstancePairs();
   std::sort(inst.begin(), inst.end());
   for (const auto& [obj, cls] : inst) {
     out += "INST ";
@@ -360,23 +361,31 @@ class LineCursor {
 
 namespace {
 
+/// The raw store writes that replay CLASS, ISA and INST records
+/// verbatim (no implied Object superclass or meta-class membership).
+/// They are private to Database, so LoadSnapshot, its friend, binds them.
+struct RawWrites {
+  std::function<Status(const Oid&)> declare_class;
+  std::function<Status(const Oid&, const Oid&)> add_subclass;
+  std::function<void(const Oid&, const Oid&)> add_instance;
+};
+
 /// Parses and applies one snapshot record line (sans the leading record
 /// word). Every error is InvalidArgument; the caller stamps the line
-/// number on. Class-graph records go to `graph` verbatim (no implied
-/// Object superclass or meta-class membership); the caller recounts the
-/// active domain afterwards.
+/// number on. Class-graph and instance-of records go through `raw`; the
+/// caller recounts the active domain afterwards.
 Status ApplyLine(const std::string& record, LineCursor* cursor,
-                 Database* db, ClassGraph* graph) {
+                 Database* db, const RawWrites& raw) {
   if (record == "CLASS") {
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return graph->DeclareClass(cls);
+    return raw.declare_class(cls);
   }
   if (record == "ISA") {
     XSQL_ASSIGN_OR_RETURN(Oid sub, cursor->NextOid());
     XSQL_ASSIGN_OR_RETURN(Oid super, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return graph->AddSubclass(sub, super);
+    return raw.add_subclass(sub, super);
   }
   if (record == "SIG") {
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
@@ -401,7 +410,8 @@ Status ApplyLine(const std::string& record, LineCursor* cursor,
     XSQL_ASSIGN_OR_RETURN(Oid obj, cursor->NextOid());
     XSQL_ASSIGN_OR_RETURN(Oid cls, cursor->NextOid());
     XSQL_RETURN_IF_ERROR(cursor->ExpectEnd());
-    return graph->AddInstance(obj, cls);
+    raw.add_instance(obj, cls);
+    return Status::OK();
   }
   if (record == "OBJ") {
     XSQL_ASSIGN_OR_RETURN(Oid oid, cursor->NextOid());
@@ -448,7 +458,14 @@ Status LoadSnapshot(const std::string& text, Database* db) {
   if (!std::getline(in, line) || SnapshotVersion(line) == 0) {
     return Status::InvalidArgument("not an XSQL snapshot (bad header)");
   }
-  ClassGraph* graph = &db->graph_;
+  const RawWrites raw{
+      [db](const Oid& cls) {
+        return db->graph_.DeclareClass(cls, db->cow_epoch_);
+      },
+      [db](const Oid& sub, const Oid& super) {
+        return db->graph_.AddSubclass(sub, super, db->cow_epoch_);
+      },
+      [db](const Oid& obj, const Oid& cls) { db->AddInstanceRaw(obj, cls); }};
   auto apply_records = [&]() -> Status {
     size_t line_no = 1;
     while (std::getline(in, line)) {
@@ -461,7 +478,7 @@ Status LoadSnapshot(const std::string& text, Database* db) {
       }
       std::string record = line.substr(0, space);
       LineCursor cursor(line.substr(space + 1));
-      Status st = ApplyLine(record, &cursor, db, graph);
+      Status st = ApplyLine(record, &cursor, db, raw);
       if (!st.ok()) {
         // Offsets inside messages are relative to the line's payload;
         // stamp the line number so corrupt files pinpoint themselves.
@@ -472,7 +489,7 @@ Status LoadSnapshot(const std::string& text, Database* db) {
     return Status::OK();
   };
   Status st = apply_records();
-  // The raw graph writes bypassed the domain counts: one full recount,
+  // The raw writes bypassed the domain counts: one full recount,
   // on failure too, leaves even a partial load consistent.
   db->RecountDomain();
   return st;

@@ -1,7 +1,6 @@
 #ifndef XSQL_STORE_CLASS_GRAPH_H_
 #define XSQL_STORE_CLASS_GRAPH_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -9,63 +8,51 @@
 
 #include "common/status.h"
 #include "oid/oid.h"
+#include "store/counted_oid_set.h"
 
 namespace xsql {
 
-/// The IS-A hierarchy and the instance-of relationship of §2.
+/// The IS-A hierarchy and the class extents of §2.
 ///
 /// Classes are identified by their class-oids (atoms like `Person`). The
 /// IS-A (subclass) relation is a DAG — `AddSubclass` rejects edges that
-/// would create a cycle. `instance-of` relates individual oids to the
-/// classes they directly belong to; membership is closed upward along
-/// IS-A (an instance of `Employee` is an instance of `Person`), exactly
-/// the paper's containment rule, while the converse (extensional equality
-/// does not imply IS-A) is naturally respected because IS-A is only what
-/// was declared.
+/// would create a cycle. Each class keeps its direct extent; the deep
+/// extent closes it upward along IS-A (an instance of `Employee` is an
+/// instance of `Person`), exactly the paper's containment rule, while
+/// the converse (extensional equality does not imply IS-A) is naturally
+/// respected because IS-A is only what was declared. The per-object side
+/// of instance-of — each oid's direct classes — lives with the object in
+/// Database, which keeps the two sides in step.
 ///
 /// Storage is copy-on-write to support MVCC snapshots: each class node
-/// (IS-A edges + direct extent) and each instance-of shard is held by
-/// shared_ptr, so copying a ClassGraph shares all of them structurally.
-/// Mutators clone a node/shard before the first write in the current
-/// *epoch*; `BumpEpoch` (called on both sides of a database fork) starts
-/// a new epoch, which forces the next write to each shared piece to
-/// clone it. Ownership is decided by the epoch stamp alone — never by
-/// refcount inspection — so a snapshot being released on another thread
-/// can never race a writer's in-place-vs-clone decision.
+/// (IS-A edges + direct extent) is held by shared_ptr, and the direct
+/// extent is a chunked CountedOidSet, so copying a ClassGraph shares
+/// every node and chunk. Every mutator takes the writer's COW epoch and
+/// clones a piece before writing it under the store's one COW rule
+/// (CowWritable in store/cow.h); an insert clones one node and one chunk.
 class ClassGraph {
  public:
-  ClassGraph();
-  /// Copying shares every node and instance shard with the source.
-  /// At least one side must BumpEpoch before its next mutation; the
-  /// Database fork path bumps both sides.
-  ClassGraph(const ClassGraph&) = default;
-  ClassGraph& operator=(const ClassGraph&) = default;
-
-  /// Starts a new copy-on-write epoch: every node/shard created before
-  /// this call is treated as shared and cloned before the next write.
-  void BumpEpoch() { ++epoch_; }
-
   /// Registers `cls` as a class with no superclasses (yet).
   /// Idempotent for already-declared classes.
-  Status DeclareClass(const Oid& cls);
+  Status DeclareClass(const Oid& cls, uint64_t epoch);
 
   /// Declares `sub` IS-A `super`. Both are auto-declared if new.
   /// Fails with InvalidArgument if the edge would create a cycle.
-  Status AddSubclass(const Oid& sub, const Oid& super);
+  Status AddSubclass(const Oid& sub, const Oid& super, uint64_t epoch);
 
-  /// Makes `obj` a direct instance of `cls` (declared on demand).
-  Status AddInstance(const Oid& obj, const Oid& cls);
+  /// Adds `obj` to the direct extent of `cls` (declared on demand).
+  void AddToExtent(const Oid& cls, const Oid& obj, uint64_t epoch);
 
-  /// Removes `obj` from the direct extent of `cls`.
-  void RemoveInstance(const Oid& obj, const Oid& cls);
+  /// Removes `obj` from the direct extent of `cls`; no-op when absent.
+  void RemoveFromExtent(const Oid& cls, const Oid& obj, uint64_t epoch);
 
-  /// Undo primitive: unregisters a class declared by mistake (unlinks
-  /// its IS-A edges and drops any direct-instance memberships). No-op
-  /// for undeclared classes.
-  void RemoveClass(const Oid& cls);
+  /// Undo primitive: unregisters a class declared by mistake, unlinking
+  /// its IS-A edges. No-op for undeclared classes. Rollback has already
+  /// undone the class's memberships, which were recorded after it.
+  void RemoveClass(const Oid& cls, uint64_t epoch);
 
   /// Undo primitive: removes a single IS-A edge. No-op when absent.
-  void RemoveSubclassEdge(const Oid& sub, const Oid& super);
+  void RemoveSubclassEdge(const Oid& sub, const Oid& super, uint64_t epoch);
 
   bool IsClass(const Oid& oid) const;
 
@@ -73,9 +60,6 @@ class ClassGraph {
   bool IsStrictSubclass(const Oid& sub, const Oid& super) const;
   /// Reflexive subclass test.
   bool IsSubclassEq(const Oid& sub, const Oid& super) const;
-
-  /// True if `obj` was declared an instance of `cls` or of a subclass.
-  bool IsInstanceOf(const Oid& obj, const Oid& cls) const;
 
   /// All declared classes, in declaration order.
   const std::vector<Oid>& classes() const { return class_list_; }
@@ -88,19 +72,10 @@ class ClassGraph {
   OidSet Descendants(const Oid& cls) const;
 
   /// Direct instances only.
-  const OidSet& DirectExtent(const Oid& cls) const;
+  const CountedOidSet& DirectExtent(const Oid& cls) const;
 
   /// Deep extent: direct instances of `cls` and of every descendant.
   OidSet Extent(const Oid& cls) const;
-
-  /// The classes `obj` directly belongs to.
-  std::vector<Oid> DirectClassesOf(const Oid& obj) const;
-
-  /// Every (object, direct class) pair — snapshot/export support.
-  std::vector<std::pair<Oid, Oid>> AllInstancePairs() const;
-
-  /// All classes `obj` belongs to (direct classes + their ancestors).
-  OidSet AllClassesOf(const Oid& obj) const;
 
   /// True if some declared class is a (non-strict) subclass of every class
   /// in `classes`. Used for the §6.2 range-emptiness test: a range with no
@@ -117,34 +92,19 @@ class ClassGraph {
   struct Node {
     std::vector<Oid> supers;
     std::vector<Oid> subs;
-    OidSet direct_extent;
+    CountedOidSet direct_extent;
     uint64_t epoch = 0;
+    size_t ApproxBytes() const {
+      return sizeof(Node) + (supers.size() + subs.size()) * sizeof(Oid);
+    }
   };
-
-  /// instance_of_ is sharded so a single membership write copies one
-  /// shard, not the whole data-sized map.
-  static constexpr size_t kInstanceShards = 32;
-  struct InstanceShard {
-    std::unordered_map<Oid, std::vector<Oid>, OidHash> map;
-    uint64_t epoch = 0;
-  };
-
-  static size_t ShardIndexOf(const Oid& oid) {
-    return OidHash{}(oid) % kInstanceShards;
-  }
 
   const Node* Find(const Oid& cls) const;
-  /// COW: clones the node first when it predates the current epoch.
-  Node* FindMutable(const Oid& cls);
-  /// COW: clones the shard first when it predates the current epoch.
-  InstanceShard& WritableShard(const Oid& obj);
-  const std::vector<Oid>* FindInstance(const Oid& obj) const;
+  /// The node writable in `epoch` (see CowWritable); nullptr if absent.
+  Node* FindMutable(const Oid& cls, uint64_t epoch);
 
   std::unordered_map<Oid, std::shared_ptr<Node>, OidHash> nodes_;
   std::vector<Oid> class_list_;
-  // obj -> direct classes, sharded by OidHash.
-  std::array<std::shared_ptr<InstanceShard>, kInstanceShards> instance_of_;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace xsql

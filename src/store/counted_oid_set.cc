@@ -16,21 +16,6 @@ size_t CountedOidSet::ChunkIndexFor(const Oid& oid) const {
   return static_cast<size_t>(it - chunks_.begin());
 }
 
-CountedOidSet::Chunk& CountedOidSet::WritableChunk(size_t index,
-                                                   uint64_t epoch) {
-  std::shared_ptr<Chunk>& slot = chunks_[index];
-  // A chunk stamped with the writer's epoch is its own (a fork shares
-  // only chunks stamped before it), so its use count is exact: above one
-  // means a copy of this set pinned it.
-  if (slot->epoch != epoch || slot.use_count() > 1) {
-    auto clone = std::make_shared<Chunk>(*slot);
-    clone->epoch = epoch;
-    CountCowClone(sizeof(Chunk) + clone->entries.size() * sizeof(Entry));
-    slot = std::move(clone);
-  }
-  return *slot;
-}
-
 void CountedOidSet::Add(const Oid& oid, uint64_t epoch) {
   if (chunks_.empty()) {
     auto chunk = std::make_shared<Chunk>();
@@ -41,7 +26,7 @@ void CountedOidSet::Add(const Oid& oid, uint64_t epoch) {
     return;
   }
   const size_t index = ChunkIndexFor(oid);
-  Chunk& chunk = WritableChunk(index, epoch);
+  Chunk& chunk = CowWritable(chunks_[index], epoch);
   auto it = std::lower_bound(chunk.entries.begin(), chunk.entries.end(), oid,
                              EntryBefore);
   if (it != chunk.entries.end() && it->oid == oid) {
@@ -63,7 +48,7 @@ void CountedOidSet::Add(const Oid& oid, uint64_t epoch) {
 void CountedOidSet::Remove(const Oid& oid, uint64_t epoch) {
   if (!Contains(oid)) return;
   const size_t index = ChunkIndexFor(oid);
-  Chunk& chunk = WritableChunk(index, epoch);
+  Chunk& chunk = CowWritable(chunks_[index], epoch);
   auto it = std::lower_bound(chunk.entries.begin(), chunk.entries.end(), oid,
                              EntryBefore);
   if (--it->count > 0) return;
@@ -84,7 +69,7 @@ OidSet CountedOidSet::ToOidSet() const {
   std::vector<Oid> members;
   members.reserve(size_);
   ForEach([&](const Oid& oid) { members.push_back(oid); });
-  return OidSet(std::move(members));
+  return OidSet::FromSorted(std::move(members));
 }
 
 }  // namespace xsql

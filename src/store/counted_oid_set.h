@@ -16,10 +16,11 @@ namespace xsql {
 ///
 /// Storage is a sequence of sorted chunks held by shared_ptr, so copying
 /// the set shares every chunk. A write clones only the chunk it touches,
-/// and only when that chunk predates the writer's COW epoch (a fork
-/// shares it) or another copy holds it (a reader pinned it). A write
+/// under the store's one COW rule (CowWritable in store/cow.h). A write
 /// therefore costs O(log n + chunk size) at any database size, and a
 /// copy is a snapshot that later writes to the original never change.
+/// It also keeps each class's direct extent (see ClassGraph), where
+/// every count is one.
 class CountedOidSet {
  public:
   /// One more occurrence of `oid`, written in COW epoch `epoch`.
@@ -52,6 +53,9 @@ class CountedOidSet {
   struct Chunk {
     std::vector<Entry> entries;  // sorted by oid, never empty
     uint64_t epoch = 0;
+    size_t ApproxBytes() const {
+      return sizeof(Chunk) + entries.size() * sizeof(Entry);
+    }
   };
 
   static bool EntryBefore(const Entry& entry, const Oid& oid) {
@@ -60,7 +64,6 @@ class CountedOidSet {
   /// The chunk whose range holds `oid`: the first whose last member is
   /// not below it, else the last chunk.
   size_t ChunkIndexFor(const Oid& oid) const;
-  Chunk& WritableChunk(size_t index, uint64_t epoch);
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t size_ = 0;

@@ -5,11 +5,22 @@
 
 #include "common/fault.h"
 #include "store/catalog.h"
-#include "store/cow.h"
 
 namespace xsql {
 
 namespace {
+
+using Pairs = std::vector<std::pair<Oid, Oid>>;
+
+/// `obj`'s run in a shard's (oid, class) pairs.
+std::pair<Pairs::const_iterator, Pairs::const_iterator> RunOf(
+    const Pairs& pairs, const Oid& obj) {
+  auto lo = std::partition_point(pairs.begin(), pairs.end(),
+                                 [&](const auto& m) { return m.first < obj; });
+  return {lo, std::partition_point(lo, pairs.end(), [&](const auto& m) {
+            return m.first == obj;
+          })};
+}
 
 /// Visits the domain occurrences one attribute contributes: its name and
 /// its scalar value or each set element.
@@ -38,7 +49,7 @@ Database::Database() {
   (void)GraphDeclareClass(builtin::MetaClass());
   (void)GraphDeclareClass(builtin::MetaMethod());
   for (const Oid& cls : builtin::All()) {
-    (void)GraphAddInstance(cls, builtin::MetaClass());
+    GraphAddInstance(cls, builtin::MetaClass());
   }
 }
 
@@ -50,56 +61,41 @@ Database::Database(ForkTag, const Database& src)
       definitions_(src.definitions_),
       version_(src.version_),
       cow_epoch_(src.cow_epoch_ + 1),
-      domain_(src.domain_) {
-  // The fork's first write to any shared node/shard must clone it.
-  graph_.BumpEpoch();
-}
+      domain_(src.domain_) {}
 
 std::unique_ptr<Database> Database::Fork() const {
   return std::unique_ptr<Database>(new Database(ForkTag{}, *this));
 }
 
-void Database::BeginNewEpoch() {
-  ++cow_epoch_;
-  graph_.BumpEpoch();
-}
-
-Database::ObjectShard& Database::WritableShard(const Oid& oid) {
-  std::shared_ptr<ObjectShard>& slot = objects_[ShardIndexOf(oid)];
-  if (slot->epoch != cow_epoch_) {
-    auto clone = std::make_shared<ObjectShard>(*slot);
-    clone->epoch = cow_epoch_;
-    CountCowClone(sizeof(ObjectShard) +
-                  clone->map.size() * (sizeof(Oid) + sizeof(Object)));
-    slot = std::move(clone);
-  }
-  return *slot;
-}
+void Database::BeginNewEpoch() { ++cow_epoch_; }
 
 Object* Database::FindMutableRaw(const Oid& oid) {
   // Probe the const view first: cloning a whole shard to discover the
   // object is absent would be a wasted copy.
   if (!HasObject(oid)) return nullptr;
-  ObjectShard& shard = WritableShard(oid);
-  auto it = shard.map.find(oid);
-  return it == shard.map.end() ? nullptr : &it->second;
+  return &WritableShard(oid).objects.at(oid);
+}
+
+bool Database::HasDirectClass(const Oid& obj, const Oid& cls) const {
+  const auto [lo, hi] = RunOf(MembershipsOf(obj), obj);
+  return std::any_of(lo, hi, [&](const auto& m) { return m.second == cls; });
 }
 
 void Database::CreateObjectRaw(const Oid& oid) {
   if (HasObject(oid)) return;
-  WritableShard(oid).map.emplace(oid, Object(oid));
+  WritableShard(oid).objects.emplace(oid, Object(oid));
   domain_.Add(oid, cow_epoch_);
 }
 
 void Database::EraseObjectRaw(const Oid& oid) {
   if (!HasObject(oid)) return;
   ObjectShard& shard = WritableShard(oid);
-  auto it = shard.map.find(oid);
+  auto it = shard.objects.find(oid);
   for (const auto& [attr, value] : it->second.attrs()) {
     ForEachOccurrence(attr, value,
                       [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
   }
-  shard.map.erase(it);
+  shard.objects.erase(it);
   domain_.Remove(oid, cow_epoch_);
 }
 
@@ -148,14 +144,30 @@ void Database::RemoveAttrRaw(const Oid& obj, const Oid& attr) {
 
 void Database::DeclareClassRaw(const Oid& cls) {
   if (graph_.IsClass(cls)) return;
-  (void)graph_.DeclareClass(cls);
+  (void)graph_.DeclareClass(cls, cow_epoch_);
   domain_.Add(cls, cow_epoch_);
 }
 
 void Database::RemoveClassRaw(const Oid& cls) {
   if (!graph_.IsClass(cls)) return;
-  graph_.RemoveClass(cls);
+  graph_.RemoveClass(cls, cow_epoch_);
   domain_.Remove(cls, cow_epoch_);
+}
+
+void Database::AddInstanceRaw(const Oid& obj, const Oid& cls) {
+  if (HasDirectClass(obj, cls)) return;
+  Pairs& pairs = WritableMemberships(obj);
+  pairs.emplace(RunOf(pairs, obj).second, obj, cls);
+  graph_.AddToExtent(cls, obj, cow_epoch_);
+}
+
+void Database::RemoveInstanceRaw(const Oid& obj, const Oid& cls) {
+  if (!HasDirectClass(obj, cls)) return;
+  Pairs& pairs = WritableMemberships(obj);
+  const auto [lo, hi] = RunOf(pairs, obj);
+  pairs.erase(std::find_if(
+      lo, hi, [&](const auto& m) { return m.second == cls; }));
+  graph_.RemoveFromExtent(cls, obj, cow_epoch_);
 }
 
 void Database::RecountDomain() {
@@ -187,7 +199,7 @@ Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
   }
   // Classes are objects: register in the meta-class and give them a
   // (possibly empty) tuple-object record.
-  XSQL_RETURN_IF_ERROR(GraphAddInstance(cls, builtin::MetaClass()));
+  GraphAddInstance(cls, builtin::MetaClass());
   EnsureObject(cls);
   Touch();
   return Status::OK();
@@ -196,8 +208,8 @@ Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
 Status Database::AddSubclass(const Oid& sub, const Oid& super) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::AddSubclass"));
   XSQL_RETURN_IF_ERROR(GraphAddSubclass(sub, super));
-  XSQL_RETURN_IF_ERROR(GraphAddInstance(sub, builtin::MetaClass()));
-  XSQL_RETURN_IF_ERROR(GraphAddInstance(super, builtin::MetaClass()));
+  GraphAddInstance(sub, builtin::MetaClass());
+  GraphAddInstance(super, builtin::MetaClass());
   Touch();
   return Status::OK();
 }
@@ -266,7 +278,7 @@ Status Database::NewObject(const Oid& oid, const std::vector<Oid>& classes) {
     if (!graph_.IsClass(cls)) {
       return Status::NotFound("unknown class " + cls.ToString());
     }
-    XSQL_RETURN_IF_ERROR(GraphAddInstance(oid, cls));
+    GraphAddInstance(oid, cls);
   }
   Touch();
   return Status::OK();
@@ -278,7 +290,7 @@ Status Database::AddInstanceOf(const Oid& oid, const Oid& cls) {
     return Status::NotFound("unknown class " + cls.ToString());
   }
   EnsureObject(oid);
-  XSQL_RETURN_IF_ERROR(GraphAddInstance(oid, cls));
+  GraphAddInstance(oid, cls);
   Touch();
   return Status::OK();
 }
@@ -326,15 +338,10 @@ Status Database::ClearAttribute(const Oid& obj, const Oid& attr) {
 
 Status Database::RemoveInstanceOf(const Oid& oid, const Oid& cls) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::RemoveInstanceOf"));
-  if (undo_ != nullptr) {
-    std::vector<Oid> classes = graph_.DirectClassesOf(oid);
-    if (std::find(classes.begin(), classes.end(), cls) != classes.end()) {
-      undo_->Record([oid, cls](Database* db) {
-        (void)db->GraphAddInstance(oid, cls);
-      });
-    }
+  if (undo_ != nullptr && HasDirectClass(oid, cls)) {
+    undo_->Record([oid, cls](Database* db) { db->AddInstanceRaw(oid, cls); });
   }
-  graph_.RemoveInstance(oid, cls);
+  RemoveInstanceRaw(oid, cls);
   Touch();
   return Status::OK();
 }
@@ -360,8 +367,8 @@ void Database::Rollback(UndoLog* log) {
 
 const Object* Database::GetObject(const Oid& oid) const {
   const ObjectShard& shard = *objects_[ShardIndexOf(oid)];
-  auto it = shard.map.find(oid);
-  return it == shard.map.end() ? nullptr : &it->second;
+  auto it = shard.objects.find(oid);
+  return it == shard.objects.end() ? nullptr : &it->second;
 }
 
 const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
@@ -371,7 +378,7 @@ const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
   // Behavioral inheritance of defaults: walk classes upward, level by
   // level, and take the nearest class-object that defines the attribute.
   std::deque<Oid> frontier;
-  for (const Oid& cls : graph_.DirectClassesOf(obj)) frontier.push_back(cls);
+  for (const Oid& cls : DirectClassesOf(obj)) frontier.push_back(cls);
   OidSet visited;
   while (!frontier.empty()) {
     std::vector<const AttrValue*> hits;
@@ -416,7 +423,35 @@ bool Database::IsInstanceOf(const Oid& oid, const Oid& cls) const {
   } else if (oid.is_nil()) {
     if (graph_.IsSubclassEq(builtin::NilClass(), cls)) return true;
   }
-  return graph_.IsInstanceOf(oid, cls);
+  const auto [lo, hi] = RunOf(MembershipsOf(oid), oid);
+  return std::any_of(lo, hi, [&](const auto& m) {
+    return graph_.IsSubclassEq(m.second, cls);
+  });
+}
+
+std::vector<Oid> Database::DirectClassesOf(const Oid& obj) const {
+  const auto [lo, hi] = RunOf(MembershipsOf(obj), obj);
+  std::vector<Oid> out;
+  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  return out;
+}
+
+OidSet Database::AllClassesOf(const Oid& obj) const {
+  OidSet out;
+  for (const Oid& direct : DirectClassesOf(obj)) {
+    out.Insert(direct);
+    out = OidSet::Union(out, graph_.Ancestors(direct));
+  }
+  return out;
+}
+
+std::vector<std::pair<Oid, Oid>> Database::AllInstancePairs() const {
+  std::vector<std::pair<Oid, Oid>> out;
+  for (const auto& shard : objects_) {
+    out.insert(out.end(), shard->memberships->pairs.begin(),
+               shard->memberships->pairs.end());
+  }
+  return out;
 }
 
 OidSet Database::Extent(const Oid& cls) const {
@@ -444,7 +479,8 @@ Status Database::RegisterMethodObject(const Oid& attr) {
     return Status::InvalidArgument("attribute/method name must be an atom: " +
                                    attr.ToString());
   }
-  return GraphAddInstance(attr, builtin::MetaMethod());
+  GraphAddInstance(attr, builtin::MetaMethod());
+  return Status::OK();
 }
 
 void Database::EnsureObject(const Oid& oid) {
@@ -482,7 +518,7 @@ Status Database::GraphAddSubclass(const Oid& sub, const Oid& super) {
     std::vector<Oid> supers = graph_.DirectSuperclasses(sub);
     if (std::find(supers.begin(), supers.end(), super) == supers.end()) {
       undo_->Record([sub, super](Database* db) {
-        db->graph_.RemoveSubclassEdge(sub, super);
+        db->graph_.RemoveSubclassEdge(sub, super, db->cow_epoch_);
       });
     }
   }
@@ -491,23 +527,21 @@ Status Database::GraphAddSubclass(const Oid& sub, const Oid& super) {
     DeclareClassRaw(sub);
     DeclareClassRaw(super);
   }
-  return graph_.AddSubclass(sub, super);
+  return graph_.AddSubclass(sub, super, cow_epoch_);
 }
 
-Status Database::GraphAddInstance(const Oid& obj, const Oid& cls) {
+void Database::GraphAddInstance(const Oid& obj, const Oid& cls) {
   if (undo_ != nullptr) {
     if (!graph_.IsClass(cls)) {
       undo_->Record([cls](Database* db) { db->RemoveClassRaw(cls); });
     }
-    std::vector<Oid> classes = graph_.DirectClassesOf(obj);
-    if (std::find(classes.begin(), classes.end(), cls) == classes.end()) {
-      undo_->Record([obj, cls](Database* db) {
-        db->graph_.RemoveInstance(obj, cls);
-      });
+    if (!HasDirectClass(obj, cls)) {
+      undo_->Record(
+          [obj, cls](Database* db) { db->RemoveInstanceRaw(obj, cls); });
     }
   }
   DeclareClassRaw(cls);
-  return graph_.AddInstance(obj, cls);
+  AddInstanceRaw(obj, cls);
 }
 
 void Database::RecordUndoAttr(const Oid& obj, const Oid& attr) {

@@ -13,6 +13,7 @@
 #include "oid/oid.h"
 #include "store/class_graph.h"
 #include "store/counted_oid_set.h"
+#include "store/cow.h"
 #include "store/method.h"
 #include "store/object.h"
 #include "store/signature.h"
@@ -46,14 +47,15 @@ Status LoadSnapshot(const std::string& text, Database* db);
 ///    them — the paper's schema-browsing feature.
 ///
 /// MVCC support: `Fork()` produces a structurally-shared copy in O(schema
-/// + shard-count) — the object map is sharded and each shard is held by
-/// shared_ptr, as are the class-graph nodes. After a fork, the first
-/// write to a shared shard/node in the new copy-on-write epoch clones it
-/// (see ClassGraph for the epoch discipline). The active domain's count
-/// chunks follow the same discipline. A fork taken under the
-/// writer latch and never mutated again is an immutable snapshot that
-/// concurrent readers can use with no synchronization at all: no member
-/// is computed lazily, so a reader never writes.
+/// + shard-count). The per-oid state (object records and each oid's
+/// direct classes) is sharded by oid hash and each shard is held by
+/// shared_ptr, as are the class-graph nodes and the chunks of the class
+/// extents and of the active domain. The database owns the one COW
+/// epoch and passes it to every write; each write clones the piece it
+/// touches under the one rule in store/cow.h (CowWritable). A fork
+/// taken under the writer latch and never mutated again is an immutable
+/// snapshot that concurrent readers can use with no synchronization at
+/// all: no member is computed lazily, so a reader never writes.
 class Database {
  public:
   Database();
@@ -61,8 +63,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// A structurally-shared copy for MVCC: shares every object-map shard,
-  /// class-graph node, and active-domain chunk with `this`; copies the
+  /// A structurally-shared copy for MVCC: shares every object shard,
+  /// class-graph node, and extent and domain chunk with `this`; copies the
   /// (schema-sized) signature and method stores and definitions. The
   /// fork starts a new COW epoch, so its first write to any shared piece
   /// clones it.
@@ -162,7 +164,7 @@ class Database {
 
   bool HasObject(const Oid& oid) const {
     const ObjectShard& shard = *objects_[ShardIndexOf(oid)];
-    return shard.map.contains(oid);
+    return shard.objects.contains(oid);
   }
   const Object* GetObject(const Oid& oid) const;
 
@@ -177,6 +179,15 @@ class Database {
   /// True if `oid` denotes an instance of `cls`, including literal
   /// instances of the builtin classes and upward IS-A closure.
   bool IsInstanceOf(const Oid& oid, const Oid& cls) const;
+
+  /// The classes `obj` directly belongs to, in the order it joined them.
+  std::vector<Oid> DirectClassesOf(const Oid& obj) const;
+
+  /// All classes `obj` belongs to (direct classes + their ancestors).
+  OidSet AllClassesOf(const Oid& obj) const;
+
+  /// Every (object, direct class) pair — snapshot/export support.
+  std::vector<std::pair<Oid, Oid>> AllInstancePairs() const;
 
   /// Deep extent of `cls`. For Numeral/String/Boolean this is the set of
   /// matching literals in the active domain.
@@ -201,7 +212,7 @@ class Database {
   /// Number of data objects (including class-objects).
   size_t object_count() const {
     size_t n = 0;
-    for (const auto& shard : objects_) n += shard->map.size();
+    for (const auto& shard : objects_) n += shard->objects.size();
     return n;
   }
 
@@ -212,7 +223,7 @@ class Database {
   template <typename Fn>
   void ForEachObject(Fn&& fn) const {
     for (const auto& shard : objects_) {
-      for (const auto& [oid, object] : shard->map) fn(oid, object);
+      for (const auto& [oid, object] : shard->objects) fn(oid, object);
     }
   }
 
@@ -221,18 +232,35 @@ class Database {
   uint64_t version() const { return version_; }
 
  private:
-  /// The snapshot loader restores the class graph verbatim through the
-  /// raw graph, then recounts the domain once.
+  /// The snapshot loader restores the class graph and the instance-of
+  /// pairs verbatim through the raw primitives, then recounts the domain
+  /// once.
   friend Status storage::LoadSnapshot(const std::string& text, Database* db);
 
-  /// Object map sharding: one shared_ptr'd shard per hash slice, so a
-  /// write in a fresh COW epoch copies ~1/kObjectShards of the objects
-  /// (a couple at generator scale 8, a few dozen at scale 128), while a
-  /// fork copies kObjectShards pointers.
+  /// Per-oid sharding: one shared_ptr'd shard per hash slice, so a write
+  /// in a fresh COW epoch copies ~1/kObjectShards of the per-oid state
+  /// (a couple of oids at generator scale 8, a few dozen at scale 128),
+  /// while a fork copies kObjectShards pointers. An oid may have direct
+  /// classes without an object record (method-objects, builtin classes).
   static constexpr size_t kObjectShards = 1024;
-  struct ObjectShard {
-    std::unordered_map<Oid, Object, OidHash> map;
+  /// A shard's (oid, direct class) pairs, sorted by oid, each oid's
+  /// classes in the order it joined them. A COW piece of its own inside
+  /// the shard, so a write to an object record copies only its pointer.
+  struct Memberships {
+    std::vector<std::pair<Oid, Oid>> pairs;
     uint64_t epoch = 0;
+    size_t ApproxBytes() const {
+      return sizeof(Memberships) + pairs.size() * sizeof(pairs[0]);
+    }
+  };
+  struct ObjectShard {
+    std::unordered_map<Oid, Object, OidHash> objects;
+    std::shared_ptr<Memberships> memberships = std::make_shared<Memberships>();
+    uint64_t epoch = 0;
+    size_t ApproxBytes() const {
+      return sizeof(ObjectShard) +
+             objects.size() * (sizeof(Oid) + sizeof(Object));
+    }
   };
 
   static size_t ShardIndexOf(const Oid& oid) {
@@ -242,9 +270,18 @@ class Database {
   struct ForkTag {};
   Database(ForkTag, const Database& src);
 
-  /// COW: clones the shard first when it predates the current epoch.
-  ObjectShard& WritableShard(const Oid& oid);
+  ObjectShard& WritableShard(const Oid& oid) {
+    return CowWritable(objects_[ShardIndexOf(oid)], cow_epoch_);
+  }
+  const std::vector<std::pair<Oid, Oid>>& MembershipsOf(
+      const Oid& oid) const {
+    return objects_[ShardIndexOf(oid)]->memberships->pairs;
+  }
+  std::vector<std::pair<Oid, Oid>>& WritableMemberships(const Oid& oid) {
+    return CowWritable(WritableShard(oid).memberships, cow_epoch_).pairs;
+  }
   Object* FindMutableRaw(const Oid& oid);
+  bool HasDirectClass(const Oid& obj, const Oid& cls) const;
 
   // Counted raw primitives. Every change to an object record, an
   // attribute or the class list — forward or undo inverse — goes
@@ -260,6 +297,11 @@ class Database {
   void RemoveAttrRaw(const Oid& obj, const Oid& attr);
   void DeclareClassRaw(const Oid& cls);
   void RemoveClassRaw(const Oid& cls);
+  // The instance-of pair (`obj`, `cls`) on both of its sides: `obj`'s
+  // class list and `cls`'s direct extent. Not counted: a membership is
+  // not a domain occurrence.
+  void AddInstanceRaw(const Oid& obj, const Oid& cls);
+  void RemoveInstanceRaw(const Oid& obj, const Oid& cls);
 
   /// Rebuilds the domain from scratch (after a raw snapshot load).
   void RecountDomain();
@@ -277,7 +319,7 @@ class Database {
   // before delegating.
   Status GraphDeclareClass(const Oid& cls);
   Status GraphAddSubclass(const Oid& sub, const Oid& super);
-  Status GraphAddInstance(const Oid& obj, const Oid& cls);
+  void GraphAddInstance(const Oid& obj, const Oid& cls);
 
   /// Saves the current value of (`obj`, `attr`) into the undo log before
   /// an attribute write/clear.
@@ -290,12 +332,12 @@ class Database {
   std::vector<std::string> definitions_;
   UndoLog* undo_ = nullptr;
   uint64_t version_ = 0;
-  /// Copy-on-write epoch: shards/nodes stamped with an older epoch are
-  /// shared with some fork and must be cloned before a write.
+  /// The store's one copy-on-write epoch, passed to every write: pieces
+  /// stamped with an older epoch may be shared with a fork and are
+  /// cloned before a write (see CowWritable).
   uint64_t cow_epoch_ = 0;
 
-  /// The active domain, counted per occurrence; its chunks follow the
-  /// shards' COW epochs.
+  /// The active domain, counted per occurrence.
   CountedOidSet domain_;
 };
 

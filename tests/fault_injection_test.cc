@@ -23,6 +23,7 @@ namespace {
 
 using Domain = FaultInjector::Domain;
 using testing_oracle::DomainMatchesRecompute;
+using testing_oracle::InstancesMatchExtents;
 
 Oid A(const char* s) { return Oid::Atom(s); }
 
@@ -222,6 +223,7 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
         // run completed cleanly and its effects stay.
         EXPECT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
         EXPECT_TRUE(DomainMatchesRecompute(*db)) << stmt;
+        EXPECT_TRUE(InstancesMatchExtents(*db)) << stmt;
         break;
       }
       ++injected_failures;
@@ -235,6 +237,8 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
           << " (check #" << n << ")";
       // The rollback also restored the domain counts it never logged.
       EXPECT_TRUE(DomainMatchesRecompute(*db))
+          << stmt << ": after fault at " << site << " (check #" << n << ")";
+      EXPECT_TRUE(InstancesMatchExtents(*db))
           << stmt << ": after fault at " << site << " (check #" << n << ")";
       if (after != before) return injected_failures;
     }
@@ -317,11 +321,13 @@ TEST_F(FaultInjectionTest, RandomFaultsNeverLeavePartialState) {
         ASSERT_TRUE(fired) << stmt << ": " << out.status().ToString();
         EXPECT_EQ(storage::SaveSnapshot(db), before) << stmt;
         EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
+        EXPECT_TRUE(InstancesMatchExtents(db)) << stmt;
         // Re-run cleanly so later statements see their prerequisites.
         auto retry = session.Execute(stmt);
         ASSERT_TRUE(retry.ok()) << stmt << ": " << retry.status().ToString();
       }
       EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
+      EXPECT_TRUE(InstancesMatchExtents(db)) << stmt;
     }
   }
 }

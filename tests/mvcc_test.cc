@@ -35,6 +35,7 @@ using storage::SaveSnapshot;
 using storage::VersionChain;
 using storage::Wal;
 using testing_oracle::DomainMatchesRecompute;
+using testing_oracle::InstancesMatchExtents;
 
 Oid A(const std::string& name) { return Oid::Atom(name); }
 
@@ -109,7 +110,9 @@ TEST(DatabaseForkTest, MasterMutationsInvisibleToFork) {
   // The shared domain chunks were cloned, not patched: each side's
   // domain is its own state's.
   EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(InstancesMatchExtents(db));
   EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_TRUE(InstancesMatchExtents(*fork));
   EXPECT_TRUE(fork->ActiveDomain().Contains(Oid::Int(30)));
   EXPECT_FALSE(fork->ActiveDomain().Contains(Oid::Int(31)));
   EXPECT_FALSE(db.ActiveDomain().Contains(Oid::Int(30)));
@@ -133,7 +136,9 @@ TEST(DatabaseForkTest, ForkMutationsInvisibleToMaster) {
   EXPECT_EQ(db.GetObject(A("ghost")), nullptr);
   EXPECT_TRUE(db.IsInstanceOf(A("mary"), A("Person")));
   EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(InstancesMatchExtents(db));
   EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_TRUE(InstancesMatchExtents(*fork));
   EXPECT_FALSE(db.ActiveDomain().Contains(A("ghost")));
 }
 
@@ -164,6 +169,7 @@ TEST(DatabaseForkTest, PrivateReadForkMintsObjectsIntoItsOwnDomain) {
   EXPECT_EQ(SaveSnapshot(*snapshot), frozen);
   for (const Database* side : {&db, snapshot.get(), scratch.get()}) {
     EXPECT_TRUE(DomainMatchesRecompute(*side));
+    EXPECT_TRUE(InstancesMatchExtents(*side));
   }
   for (const Oid& minted : out->created) {
     EXPECT_TRUE(scratch->ActiveDomain().Contains(minted));
@@ -195,12 +201,97 @@ TEST(DatabaseForkTest, ChainedForksStayIndependent) {
   ASSERT_TRUE(f3->SetScalar(A("o1"), A("Tag"), Oid::Int(7)).ok());
   for (const Database* side : {&db, f1.get(), f2.get(), f3.get()}) {
     EXPECT_TRUE(DomainMatchesRecompute(*side));
+    EXPECT_TRUE(InstancesMatchExtents(*side));
   }
   EXPECT_FALSE(f1->ActiveDomain().Contains(A("o2")));
   EXPECT_TRUE(f2->ActiveDomain().Contains(A("o2")));
   EXPECT_FALSE(f2->ActiveDomain().Contains(A("o4")));
   EXPECT_FALSE(f2->ActiveDomain().Contains(Oid::Int(7)));
   EXPECT_TRUE(f3->ActiveDomain().Contains(A("o4")));
+}
+
+// Instance-of is kept on two sides — each oid's direct-class list and
+// each class's chunked direct extent — and a fork isolates both: each
+// side mints objects, joins and leaves classes, and rolls back a class
+// declaration that had gained members, and neither sees the other's.
+TEST(DatabaseForkTest, MembershipWritesStayOnTheirSide) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person"), {A("Object")}).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Employee"), {A("Person")}).ok());
+  // Enough members that each extent spans several chunks.
+  for (int i = 0; i < 400; ++i) {
+    const Oid cls = i % 2 == 0 ? A("Person") : A("Employee");
+    ASSERT_TRUE(db.NewObject(A("p" + std::to_string(i)), {cls}).ok());
+  }
+  std::unique_ptr<Database> frozen = db.Fork();
+  const std::string frozen_text = SaveSnapshot(*frozen);
+  std::unique_ptr<Database> fork = db.Fork();
+  db.BeginNewEpoch();
+
+  // p0, p2, p4 and p6 are direct Persons on both sides at the fork.
+  struct Side {
+    Database* db;
+    std::string minted;  // prefix of the objects this side mints
+    std::string joins;   // joins Employee
+    std::string leaves;  // leaves Person
+  };
+  const Side sides[] = {{&db, "m", "p0", "p2"}, {fork.get(), "f", "p4", "p6"}};
+  for (const Side& side : sides) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(side.db
+                      ->NewObject(A(side.minted + std::to_string(i)),
+                                  {A("Employee")})
+                      .ok());
+    }
+    ASSERT_TRUE(side.db->AddInstanceOf(A(side.joins), A("Employee")).ok());
+    ASSERT_TRUE(side.db->RemoveInstanceOf(A(side.leaves), A("Person")).ok());
+    // A class declared, given members, and rolled back.
+    UndoLog log;
+    side.db->BeginUndo(&log);
+    ASSERT_TRUE(side.db->DeclareClass(A("Robot"), {A("Person")}).ok());
+    ASSERT_TRUE(side.db->NewObject(A(side.minted + "robot"), {A("Robot")}).ok());
+    ASSERT_TRUE(side.db->AddInstanceOf(A("p8"), A("Robot")).ok());
+    side.db->EndUndo();
+    side.db->Rollback(&log);
+    EXPECT_FALSE(side.db->graph().IsClass(A("Robot")));
+    EXPECT_FALSE(side.db->HasObject(A(side.minted + "robot")));
+    EXPECT_EQ(side.db->DirectClassesOf(A("p8")),
+              std::vector<Oid>{A("Person")});
+  }
+
+  const OidSet master_employees = db.Extent(A("Employee"));
+  const OidSet fork_employees = fork->Extent(A("Employee"));
+  const OidSet master_persons = db.Extent(A("Person"));
+  const OidSet fork_persons = fork->Extent(A("Person"));
+  for (const Side& own : sides) {
+    const Side& other = own.db == &db ? sides[1] : sides[0];
+    const OidSet& employees =
+        own.db == &db ? master_employees : fork_employees;
+    const OidSet& persons = own.db == &db ? master_persons : fork_persons;
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE(employees.Contains(A(own.minted + std::to_string(i))));
+      EXPECT_FALSE(employees.Contains(A(other.minted + std::to_string(i))));
+      EXPECT_TRUE(
+          own.db->DirectClassesOf(A(other.minted + std::to_string(i)))
+              .empty());
+    }
+    EXPECT_TRUE(employees.Contains(A(own.joins)));
+    EXPECT_FALSE(employees.Contains(A(other.joins)));
+    EXPECT_FALSE(persons.Contains(A(own.leaves)));
+    EXPECT_TRUE(persons.Contains(A(other.leaves)));
+    EXPECT_EQ(own.db->DirectClassesOf(A(own.joins)),
+              (std::vector<Oid>{A("Person"), A("Employee")}));
+    EXPECT_EQ(own.db->DirectClassesOf(A(other.joins)),
+              std::vector<Oid>{A("Person")});
+    EXPECT_TRUE(own.db->DirectClassesOf(A(own.leaves)).empty());
+    EXPECT_EQ(own.db->DirectClassesOf(A(other.leaves)),
+              std::vector<Oid>{A("Person")});
+    EXPECT_TRUE(InstancesMatchExtents(*own.db));
+    EXPECT_TRUE(DomainMatchesRecompute(*own.db));
+  }
+  EXPECT_EQ(SaveSnapshot(*frozen), frozen_text);
+  EXPECT_TRUE(InstancesMatchExtents(*frozen));
+  EXPECT_EQ(frozen->Extent(A("Employee")).size(), 200u);
 }
 
 // ------------------------------------------------- snapshot isolation

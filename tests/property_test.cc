@@ -29,6 +29,7 @@ namespace {
 Oid A(const char* s) { return Oid::Atom(s); }
 
 using testing_oracle::DomainMatchesRecompute;
+using testing_oracle::InstancesMatchExtents;
 
 std::multiset<std::vector<Oid>> Rows(const Relation& rel) {
   return {rel.rows().begin(), rel.rows().end()};
@@ -101,6 +102,7 @@ TEST_P(DifferentialTest, SmartEqualsNaive) {
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
 
@@ -123,6 +125,7 @@ TEST_P(DifferentialTest, SmartEqualsFLogic) {
     ASSERT_TRUE(smart.ok()) << text;
     EXPECT_EQ(Rows(smart->relation), Rows(*flogic_answer)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
 
@@ -185,6 +188,7 @@ TEST_P(DifferentialTest, RangePruningIsSound) {
     ASSERT_TRUE(without.ok()) << text;
     EXPECT_EQ(Rows(with->relation), Rows(without->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
 
@@ -199,6 +203,7 @@ TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
   Session session(&db);
   Rng rng(GetParam() * 7 + 5);
   ASSERT_TRUE(DomainMatchesRecompute(db));
+  ASSERT_TRUE(InstancesMatchExtents(db));
   std::vector<Oid> persons;
   for (const Oid& p : db.Extent(A("Person"))) {
     if (p.is_atom()) persons.push_back(p);
@@ -261,25 +266,27 @@ TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
       ASSERT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
     }
     ASSERT_TRUE(DomainMatchesRecompute(db)) << stmt;
+    ASSERT_TRUE(InstancesMatchExtents(db)) << stmt;
   }
 }
 
 // Store invariant: membership closes upward along randomly built DAGs.
 TEST_P(DifferentialTest, MembershipClosesUpward) {
   Rng rng(GetParam());
-  ClassGraph graph;
+  Database db;
+  const ClassGraph& graph = db.graph();
   const int kClasses = 12;
   std::vector<Oid> classes;
   for (int i = 0; i < kClasses; ++i) {
     classes.push_back(A(("C" + std::to_string(i)).c_str()));
-    ASSERT_TRUE(graph.DeclareClass(classes.back()).ok());
+    ASSERT_TRUE(db.DeclareClass(classes.back()).ok());
   }
   // Random edges from lower to higher index: guaranteed acyclic; the
   // cycle check must accept them all.
   for (int i = 0; i < kClasses; ++i) {
     for (int j = i + 1; j < kClasses; ++j) {
       if (rng.Percent(25)) {
-        ASSERT_TRUE(graph.AddSubclass(classes[i], classes[j]).ok());
+        ASSERT_TRUE(db.AddSubclass(classes[i], classes[j]).ok());
       }
     }
   }
@@ -288,7 +295,7 @@ TEST_P(DifferentialTest, MembershipClosesUpward) {
     size_t a = rng.Uniform(kClasses);
     size_t b = rng.Uniform(kClasses);
     if (graph.IsStrictSubclass(classes[a], classes[b])) {
-      EXPECT_FALSE(graph.AddSubclass(classes[b], classes[a]).ok());
+      EXPECT_FALSE(db.AddSubclass(classes[b], classes[a]).ok());
     }
   }
   // Instances respect upward closure, and deep extents contain direct
@@ -296,22 +303,23 @@ TEST_P(DifferentialTest, MembershipClosesUpward) {
   for (int i = 0; i < 20; ++i) {
     Oid obj = A(("o" + std::to_string(i)).c_str());
     const Oid& cls = classes[rng.Uniform(kClasses)];
-    ASSERT_TRUE(graph.AddInstance(obj, cls).ok());
+    ASSERT_TRUE(db.NewObject(obj, {cls}).ok());
   }
   for (const Oid& cls : classes) {
-    for (const Oid& obj : graph.Extent(cls)) {
+    for (const Oid& obj : db.Extent(cls)) {
       bool member_somewhere = false;
-      for (const Oid& direct : graph.DirectClassesOf(obj)) {
+      for (const Oid& direct : db.DirectClassesOf(obj)) {
         if (graph.IsSubclassEq(direct, cls)) member_somewhere = true;
       }
       EXPECT_TRUE(member_somewhere);
     }
     for (const Oid& sub : graph.Descendants(cls)) {
-      for (const Oid& obj : graph.DirectExtent(sub)) {
-        EXPECT_TRUE(graph.Extent(cls).Contains(obj));
-      }
+      graph.DirectExtent(sub).ForEach([&](const Oid& obj) {
+        EXPECT_TRUE(db.Extent(cls).Contains(obj));
+      });
     }
   }
+  EXPECT_TRUE(InstancesMatchExtents(db));
 }
 
 // OidSet algebra laws on random sets.
@@ -430,6 +438,7 @@ TEST_P(DifferentialTest, RandomPathQueriesAgree) {
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
 

@@ -3,6 +3,10 @@
 // cases, and printing of results.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "eval/session.h"
 #include "workload/fig1_schema.h"
 #include "workload/generator.h"
@@ -102,6 +106,76 @@ TEST_F(SessionTest, ArithmeticMixesIntAndReal) {
       "SELECT X FROM Employee X WHERE X.Salary + 0 = X.Salary");
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(sum->size(), db_.Extent(A("Employee")).size());
+}
+
+// Int (+ - *) Int is computed in int64: exact above 2^53 and up to the
+// int64 bounds, an error past them.
+TEST_F(SessionTest, IntegerArithmeticIsExactAndChecked) {
+  ASSERT_TRUE(session_
+                  ->Execute("UPDATE CLASS Person SET mary.Salary = "
+                            "9007199254740993 + 0")
+                  .ok());
+  const AttrValue* salary = db_.GetAttribute(A("mary"), A("Salary"));
+  ASSERT_NE(salary, nullptr);
+  EXPECT_EQ(salary->scalar(), Oid::Int(9007199254740993));
+  auto edge = session_->Query("SELECT X WHERE X = 9223372036854775807 - 1");
+  EXPECT_TRUE(edge.ok()) << edge.status().ToString();
+  for (const char* value : {"9223372036854775807 + 1",
+                            "0 - 9223372036854775807 - 2",
+                            "4611686018427387904 * 2"}) {
+    auto out = session_->Execute(
+        std::string("UPDATE CLASS Person SET mary.Salary = ") + value);
+    ASSERT_FALSE(out.ok()) << value;
+    EXPECT_EQ(out.status().code(), StatusCode::kRuntimeError);
+    EXPECT_NE(out.status().message().find("integer overflow"),
+              std::string::npos)
+        << out.status().ToString();
+  }
+}
+
+// An all-Int SUM is exact in int64 and checked; a non-finite SUM or AVG
+// is an error, not a stored infinity.
+TEST_F(SessionTest, SumAndAvgStayInRange) {
+  auto run = [&](const std::string& stmt) { return session_->Execute(stmt); };
+  auto total = [&]() {
+    const AttrValue* v = db_.GetAttribute(A("h"), A("Total"));
+    return v == nullptr ? Oid() : v->scalar();
+  };
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Top = {9223372036854775807}").ok());
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Total = sum(h.Top)").ok());
+  EXPECT_EQ(total(), Oid::Int(9223372036854775807));
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Near = {9007199254740993, 2}").ok());
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Total = sum(h.Near)").ok());
+  EXPECT_EQ(total(), Oid::Int(9007199254740995));
+  // Ints that overflow int64 before a real joins them sum as reals.
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Mixed = "
+                  "{9223372036854775807, 9223372036854775806, 0.5}")
+                  .ok());
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Total = sum(h.Mixed)").ok());
+  EXPECT_TRUE(total().is_real());
+
+  ASSERT_TRUE(
+      run("UPDATE CLASS Person SET h.Over = {9223372036854775807, 1}").ok());
+  // 9e307 and 9.9e307 (the lexer has no exponent syntax): finite, with
+  // an infinite sum.
+  const std::string huge = "{9" + std::string(307, '0') + ".0, 99" +
+                           std::string(306, '0') + ".0}";
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Huge = " + huge).ok());
+  const Oid before = total();
+  for (const auto& [stmt, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"UPDATE CLASS Person SET h.Total = sum(h.Over)", "integer overflow"},
+           {"UPDATE CLASS Person SET h.Total = sum(h.Huge)",
+            "arithmetic overflow"},
+           {"UPDATE CLASS Person SET h.Total = avg(h.Huge)",
+            "arithmetic overflow"}}) {
+    auto out = run(stmt);
+    ASSERT_FALSE(out.ok()) << stmt;
+    EXPECT_EQ(out.status().code(), StatusCode::kRuntimeError);
+    EXPECT_NE(out.status().message().find(message), std::string::npos)
+        << out.status().ToString();
+  }
+  EXPECT_EQ(total(), before);
 }
 
 TEST_F(SessionTest, RelationToStringShowsColumnsAndRows) {

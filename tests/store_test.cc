@@ -14,7 +14,7 @@ Oid A(const char* s) { return Oid::Atom(s); }
 
 TEST(ClassGraphTest, DeclareAndSubclass) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person"), 0).ok());
   EXPECT_TRUE(graph.IsClass(A("Employee")));
   EXPECT_TRUE(graph.IsClass(A("Person")));
   EXPECT_TRUE(graph.IsStrictSubclass(A("Employee"), A("Person")));
@@ -26,8 +26,8 @@ TEST(ClassGraphTest, DeclareAndSubclass) {
 
 TEST(ClassGraphTest, TransitiveSubclass) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Turbo"), A("FourStroke")).ok());
-  ASSERT_TRUE(graph.AddSubclass(A("FourStroke"), A("Piston")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Turbo"), A("FourStroke"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("FourStroke"), A("Piston"), 0).ok());
   EXPECT_TRUE(graph.IsStrictSubclass(A("Turbo"), A("Piston")));
   OidSet ancestors = graph.Ancestors(A("Turbo"));
   EXPECT_TRUE(ancestors.Contains(A("FourStroke")));
@@ -39,37 +39,16 @@ TEST(ClassGraphTest, TransitiveSubclass) {
 
 TEST(ClassGraphTest, RejectsCycles) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("B"), A("A")).ok());
-  ASSERT_TRUE(graph.AddSubclass(A("C"), A("B")).ok());
-  EXPECT_FALSE(graph.AddSubclass(A("A"), A("C")).ok());
-  EXPECT_FALSE(graph.AddSubclass(A("A"), A("A")).ok());
-}
-
-TEST(ClassGraphTest, InstancesAndExtents) {
-  ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person")).ok());
-  ASSERT_TRUE(graph.AddInstance(A("john"), A("Employee")).ok());
-  ASSERT_TRUE(graph.AddInstance(A("mary"), A("Person")).ok());
-  // Membership closes upward, not downward.
-  EXPECT_TRUE(graph.IsInstanceOf(A("john"), A("Person")));
-  EXPECT_FALSE(graph.IsInstanceOf(A("mary"), A("Employee")));
-  EXPECT_EQ(graph.DirectExtent(A("Person")).size(), 1u);
-  EXPECT_EQ(graph.Extent(A("Person")).size(), 2u);
-}
-
-TEST(ClassGraphTest, RemoveInstance) {
-  ClassGraph graph;
-  ASSERT_TRUE(graph.AddInstance(A("x"), A("C")).ok());
-  EXPECT_TRUE(graph.IsInstanceOf(A("x"), A("C")));
-  graph.RemoveInstance(A("x"), A("C"));
-  EXPECT_FALSE(graph.IsInstanceOf(A("x"), A("C")));
-  EXPECT_TRUE(graph.Extent(A("C")).empty());
+  ASSERT_TRUE(graph.AddSubclass(A("B"), A("A"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("C"), A("B"), 0).ok());
+  EXPECT_FALSE(graph.AddSubclass(A("A"), A("C"), 0).ok());
+  EXPECT_FALSE(graph.AddSubclass(A("A"), A("A"), 0).ok());
 }
 
 TEST(ClassGraphTest, CommonSubclassAndSubrange) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person")).ok());
-  ASSERT_TRUE(graph.AddSubclass(A("Company"), A("Org")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Company"), A("Org"), 0).ok());
   // {Person, Company}: no common subclass (the §6.2 emptiness example).
   EXPECT_FALSE(graph.HaveCommonSubclass({A("Person"), A("Company")}));
   EXPECT_TRUE(graph.HaveCommonSubclass({A("Person"), A("Employee")}));
@@ -105,8 +84,8 @@ TEST(ObjectTest, AttrValueAsSet) {
 
 TEST(SignatureTest, StructuralInheritanceAccumulates) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Student")).ok());
-  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Employee")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Student"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Employee"), 0).ok());
   SignatureStore sigs;
   // The paper's earns example: two incomparable signatures.
   Signature earns_student{A("earns"), {A("course")}, A("grade"), false};
@@ -135,7 +114,7 @@ class CountBody : public MethodBody {
 
 TEST(MethodRegistryTest, OverridingPicksNearestDefinition) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Employee"), A("Person"), 0).ok());
   MethodRegistry registry;
   ASSERT_TRUE(
       registry.Define(A("Person"), A("greet"), 0,
@@ -153,8 +132,8 @@ TEST(MethodRegistryTest, OverridingPicksNearestDefinition) {
 
 TEST(MethodRegistryTest, ConflictRequiresExplicitResolution) {
   ClassGraph graph;
-  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Student")).ok());
-  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Employee")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Student"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Employee"), 0).ok());
   MethodRegistry registry;
   ASSERT_TRUE(registry.Define(A("Student"), A("id"), 0,
                               std::make_shared<CountBody>("s")).ok());
@@ -185,8 +164,30 @@ TEST(DatabaseTest, BuiltinsInstalled) {
   EXPECT_TRUE(db.graph().IsStrictSubclass(builtin::Numeral(),
                                           builtin::Object()));
   // Classes are objects: instances of the meta-class Class.
-  EXPECT_TRUE(
-      db.graph().IsInstanceOf(builtin::Numeral(), builtin::MetaClass()));
+  EXPECT_TRUE(db.IsInstanceOf(builtin::Numeral(), builtin::MetaClass()));
+}
+
+TEST(DatabaseTest, InstancesAndExtents) {
+  Database db;
+  ASSERT_TRUE(db.AddSubclass(A("Employee"), A("Person")).ok());
+  ASSERT_TRUE(db.NewObject(A("john"), {A("Employee")}).ok());
+  ASSERT_TRUE(db.NewObject(A("mary"), {A("Person")}).ok());
+  // Membership closes upward, not downward.
+  EXPECT_TRUE(db.IsInstanceOf(A("john"), A("Person")));
+  EXPECT_FALSE(db.IsInstanceOf(A("mary"), A("Employee")));
+  EXPECT_EQ(db.graph().DirectExtent(A("Person")).size(), 1u);
+  EXPECT_EQ(db.Extent(A("Person")).size(), 2u);
+}
+
+TEST(DatabaseTest, RemoveInstance) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("C")).ok());
+  ASSERT_TRUE(db.NewObject(A("x"), {A("C")}).ok());
+  EXPECT_TRUE(db.IsInstanceOf(A("x"), A("C")));
+  ASSERT_TRUE(db.RemoveInstanceOf(A("x"), A("C")).ok());
+  EXPECT_FALSE(db.IsInstanceOf(A("x"), A("C")));
+  EXPECT_TRUE(db.DirectClassesOf(A("x")).empty());
+  EXPECT_TRUE(db.Extent(A("C")).empty());
 }
 
 TEST(DatabaseTest, LiteralsAreInstancesOfBuiltins) {
@@ -204,7 +205,7 @@ TEST(DatabaseTest, AttributeNamesBecomeMethodObjects) {
   ASSERT_TRUE(db.DeclareClass(A("Person")).ok());
   ASSERT_TRUE(db.NewObject(A("john"), {A("Person")}).ok());
   ASSERT_TRUE(db.SetScalar(A("john"), A("Age"), Oid::Int(30)).ok());
-  EXPECT_TRUE(db.graph().IsInstanceOf(A("Age"), builtin::MetaMethod()));
+  EXPECT_TRUE(db.IsInstanceOf(A("Age"), builtin::MetaMethod()));
 }
 
 TEST(DatabaseTest, DefaultAttributeInheritanceFromClassObjects) {
