@@ -161,6 +161,14 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
     --benchmark_filter='BM_Point(Write|Insert)Cost' \
     --benchmark_min_time=0.05 --benchmark_format=json \
     --benchmark_out=build/BENCH_write.json > /dev/null
+  # The paper queries at generator scale 16 (build/BENCH_paper.json):
+  # every path step is a method invocation, so a dispatch that walks the
+  # IS-A graph again shows here first (Q5's method variable most of all).
+  echo "==> paper-query benchmark artifact (build/BENCH_paper.json)"
+  ./build/bench/bench_paper_queries \
+    --benchmark_filter='BM_PaperQuery/.*/16$' \
+    --benchmark_min_time=0.05 --benchmark_format=json \
+    --benchmark_out=build/BENCH_paper.json > /dev/null
 fi
 
 if [[ "$MODE" != "--plain-only" && "$MODE" != "--tsan-only" ]]; then

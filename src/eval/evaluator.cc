@@ -973,13 +973,14 @@ Result<OidSet> Evaluator::Invoke(const Oid& receiver, const Oid& method,
       return value->AsSet();
     }
   }
+  // Undefined or inapplicable: no value, hence no database paths.
+  if (db_->methods().DefinitionsOf(method).empty()) return OidSet();
   auto resolution = db_->methods().Resolve(db_->graph(),
                                            ClassesForInvoke(receiver), method,
                                            static_cast<int>(args.size()));
   if (!resolution.ok()) {
     if (resolution.status().code() == StatusCode::kNotFound) {
-      // Undefined or inapplicable: no value, hence no database paths.
-      return OidSet();
+      return OidSet();  // defined only on classes the receiver is not in
     }
     return resolution.status();  // unresolved inheritance conflict
   }
@@ -994,24 +995,30 @@ Result<OidSet> Evaluator::Invoke(const Oid& receiver, const Oid& method,
 }
 
 OidSet Evaluator::MethodsOn(const Oid& receiver, size_t arity) {
-  OidSet out;
+  std::vector<Oid> out;
   if (arity == 0) {
     if (const Object* obj = db_->GetObject(receiver)) {
-      for (const auto& [attr, value] : obj->attrs()) out.Insert(attr);
+      for (const auto& [attr, value] : obj->attrs()) out.push_back(attr);
     }
-    for (const Oid& cls : db_->AllClassesOf(receiver)) {
-      if (const Object* class_obj = db_->GetObject(cls)) {
-        for (const auto& [attr, value] : class_obj->attrs()) out.Insert(attr);
+    // Inherited defaults, when any class-object stores an attribute.
+    if (!db_->default_counts().empty()) {
+      for (const Oid& cls : db_->AllClassesOf(receiver)) {
+        if (const Object* class_obj = db_->GetObject(cls)) {
+          for (const auto& [attr, value] : class_obj->attrs()) {
+            out.push_back(attr);
+          }
+        }
       }
     }
   }
-  for (const MethodRegistry::Entry& entry : db_->methods().AllDefinitions()) {
-    if (entry.arity == static_cast<int>(arity) &&
-        db_->IsInstanceOf(receiver, entry.cls)) {
-      out.Insert(entry.method);
-    }
-  }
-  return out;
+  db_->methods().ForEachDefinition(
+      [&](const Oid& method, const MethodRegistry::Def& def) {
+        if (def.arity == static_cast<int>(arity) &&
+            db_->IsInstanceOf(receiver, def.cls)) {
+          out.push_back(method);
+        }
+      });
+  return OidSet(std::move(out));
 }
 
 Result<Oid> Evaluator::ResolveIdFunction(const std::string& fn,

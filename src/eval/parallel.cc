@@ -1,5 +1,7 @@
 #include "eval/parallel.h"
 
+#include <algorithm>
+
 #include "eval/comparator.h"
 #include "eval/evaluator.h"
 #include "store/database.h"
@@ -180,10 +182,10 @@ bool IsVarSide(const ValueExpr& expr, const Variable& var, VarSide* out) {
 /// defined methods via the purity scan; this guard keeps FilterBatch
 /// standalone-correct for direct callers too.)
 bool HasZeroAryDefinition(const Database& db, const Oid& attr) {
-  for (const MethodRegistry::Entry& entry : db.methods().AllDefinitions()) {
-    if (entry.arity == 0 && entry.method == attr) return true;
-  }
-  return false;
+  const std::vector<MethodRegistry::Def>& defs =
+      db.methods().DefinitionsOf(attr);
+  return std::any_of(defs.begin(), defs.end(),
+                     [](const auto& def) { return def.arity == 0; });
 }
 
 /// One vectorizable comparison leaf: lhs/rhs roles and quantifiers

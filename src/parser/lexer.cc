@@ -65,6 +65,19 @@ Result<std::vector<Token>> Lex(const std::string& input) {
         ++j;
         while (j < n && std::isdigit(static_cast<unsigned char>(input[j]))) ++j;
       }
+      // An exponent (`9e307`, `1.5E-3`, `2e+3`) needs a digit after the
+      // `e` and its optional sign; otherwise the `e` starts the next token.
+      if (j < n && (input[j] == 'e' || input[j] == 'E')) {
+        size_t k = j + 1;
+        if (k < n && (input[k] == '+' || input[k] == '-')) ++k;
+        if (k < n && std::isdigit(static_cast<unsigned char>(input[k]))) {
+          is_real = true;
+          j = k;
+          while (j < n && std::isdigit(static_cast<unsigned char>(input[j]))) {
+            ++j;
+          }
+        }
+      }
       Token t;
       t.pos = start;
       t.text = input.substr(i, j - i);

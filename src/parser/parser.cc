@@ -12,6 +12,13 @@ namespace xsql {
 
 namespace {
 
+bool IsAggregateName(const std::string& text) {
+  for (const char* w : {"count", "sum", "avg", "min", "max"}) {
+    if (EqualsIgnoreCase(text, w)) return true;
+  }
+  return false;
+}
+
 /// Words that cannot be used as bare attribute/class/object identifiers.
 bool IsReserved(const std::string& text) {
   static const char* kWords[] = {
@@ -23,13 +30,20 @@ bool IsReserved(const std::string& text) {
       "set",       "add",      "class",     "as",        "subclass",
       "of",        "signature", "subclassof", "applicableto", "contains", "containseq",
       "subset",    "subseteq", "seteq",     "some",      "all",
-      "nil",       "true",     "false",     "count",     "sum",
-      "avg",       "min",      "max",
+      "nil",       "true",     "false",
   };
   for (const char* w : kWords) {
     if (EqualsIgnoreCase(text, w)) return true;
   }
-  return false;
+  return IsAggregateName(text);
+}
+
+/// The method names a path step, method head or signature may use: the
+/// unreserved identifiers plus the aggregate names, which are keywords
+/// only where an aggregate can start (value position).
+bool IsMethodName(const Token& t) {
+  return t.type == TokenType::kIdent &&
+         (!IsReserved(t.text) || IsAggregateName(t.text));
 }
 
 class Parser {
@@ -210,8 +224,7 @@ class Parser {
   Result<SelectItem> ParseSelectItem() {
     SelectItem item;
     // Method-definition head: `(M @ args) = expr` or `(M) = expr`.
-    if (Check(TokenType::kLParen) && Peek(1).type == TokenType::kIdent &&
-        !IsReserved(Peek(1).text) &&
+    if (Check(TokenType::kLParen) && IsMethodName(Peek(1)) &&
         (Peek(2).type == TokenType::kAt ||
          (Peek(2).type == TokenType::kRParen &&
           Peek(3).type == TokenType::kEq))) {
@@ -660,7 +673,7 @@ class Parser {
         if (Check(TokenType::kMethodVar)) {
           step.method.name_is_var = true;
           step.method.name_var = Variable{Advance().text, VarSort::kMethod};
-        } else if (Check(TokenType::kIdent) && !IsReserved(Peek().text)) {
+        } else if (IsMethodName(Peek())) {
           step.method.name = Oid::Atom(Advance().text);
         } else {
           return Status::ParseError("expected method name at offset " +
@@ -678,7 +691,7 @@ class Parser {
         step.kind = PathStep::Kind::kMethod;
         step.method.name_is_var = true;
         step.method.name_var = Variable{Advance().text, VarSort::kMethod};
-      } else if (Check(TokenType::kIdent) && !IsReserved(Peek().text)) {
+      } else if (IsMethodName(Peek())) {
         step.kind = PathStep::Kind::kMethod;
         step.method.name = Oid::Atom(Advance().text);
       } else {
@@ -722,7 +735,7 @@ class Parser {
 
   Result<SignatureDecl> ParseSignatureDecl() {
     SignatureDecl decl;
-    if (!Check(TokenType::kIdent) || IsReserved(Peek().text)) {
+    if (!IsMethodName(Peek())) {
       return Status::ParseError("expected method name in signature");
     }
     decl.method = Oid::Atom(Advance().text);

@@ -124,14 +124,14 @@ StatementMode ClassifyMode(const std::string& text,
     // reader's private fork, not the shared snapshot.
     if (!views.IsMaterializedFresh(name)) return StatementMode::kPrivateRead;
   }
-  for (const auto& entry : db.methods().AllDefinitions()) {
-    if (idents.count(entry.method.str()) == 0) continue;
-    std::shared_ptr<const MethodBody> body =
-        db.methods().Definition(entry.cls, entry.method, entry.arity);
-    if (body != nullptr && body->kind() == "query") {
-      // Invoking a query-defined method can evaluate an OID clause and
-      // mint result objects — scratch state for a read.
-      return StatementMode::kPrivateRead;
+  for (const std::string& ident : idents) {
+    for (const MethodRegistry::Def& def :
+         db.methods().DefinitionsOf(Oid::Atom(ident))) {
+      if (def.body->kind() == "query") {
+        // Invoking a query-defined method can evaluate an OID clause and
+        // mint result objects — scratch state for a read.
+        return StatementMode::kPrivateRead;
+      }
     }
   }
   return StatementMode::kSharedRead;

@@ -489,9 +489,9 @@ Status LoadSnapshot(const std::string& text, Database* db) {
     return Status::OK();
   };
   Status st = apply_records();
-  // The raw writes bypassed the domain counts: one full recount,
-  // on failure too, leaves even a partial load consistent.
-  db->RecountDomain();
+  // The raw writes bypassed the domain and default counts: one full
+  // recount, on failure too, leaves even a partial load consistent.
+  db->Recount();
   return st;
 }
 

@@ -1,7 +1,6 @@
 #include "store/class_graph.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "store/cow.h"
 
@@ -15,6 +14,36 @@ const ClassGraph::Node* ClassGraph::Find(const Oid& cls) const {
 ClassGraph::Node* ClassGraph::FindMutable(const Oid& cls, uint64_t epoch) {
   auto it = nodes_.find(cls);
   return it == nodes_.end() ? nullptr : &CowWritable(it->second, epoch);
+}
+
+void ClassGraph::RecomputeClosure(const Oid& cls, uint64_t epoch) {
+  Node* node = FindMutable(cls, epoch);
+  if (node == nullptr) return;
+  // Upward breadth-first, one level at a time: the level at which a
+  // class is first reached is its minimum distance.
+  std::unordered_map<Oid, uint32_t, OidHash> distance;
+  std::vector<Oid> frontier = node->supers;
+  for (uint32_t level = 1; !frontier.empty(); ++level) {
+    std::vector<Oid> next;
+    for (const Oid& c : frontier) {
+      if (!distance.emplace(c, level).second) continue;
+      if (const Node* n = Find(c)) {
+        next.insert(next.end(), n->supers.begin(), n->supers.end());
+      }
+    }
+    frontier = std::move(next);
+  }
+  node->closure.clear();
+  node->closure.reserve(distance.size());
+  for (const auto& [c, d] : distance) node->closure.push_back({c, d});
+  std::sort(node->closure.begin(), node->closure.end(),
+            [](const Ancestor& a, const Ancestor& b) { return a.cls < b.cls; });
+}
+
+void ClassGraph::RecomputeClosuresFrom(const Oid& sub, uint64_t epoch) {
+  const OidSet below = Descendants(sub);
+  RecomputeClosure(sub, epoch);
+  for (const Oid& cls : below) RecomputeClosure(cls, epoch);
 }
 
 Status ClassGraph::DeclareClass(const Oid& cls, uint64_t epoch) {
@@ -48,6 +77,7 @@ Status ClassGraph::AddSubclass(const Oid& sub, const Oid& super,
   }
   FindMutable(sub, epoch)->supers.push_back(super);
   FindMutable(super, epoch)->subs.push_back(sub);
+  RecomputeClosuresFrom(sub, epoch);
   return Status::OK();
 }
 
@@ -69,6 +99,7 @@ void ClassGraph::RemoveClass(const Oid& cls, uint64_t epoch) {
   if (it == nodes_.end()) return;
   const std::vector<Oid> supers = it->second->supers;
   const std::vector<Oid> subs = it->second->subs;
+  const OidSet below = Descendants(cls);
   for (const Oid& super : supers) {
     if (Node* n = FindMutable(super, epoch)) {
       auto pos = std::find(n->subs.begin(), n->subs.end(), cls);
@@ -84,6 +115,7 @@ void ClassGraph::RemoveClass(const Oid& cls, uint64_t epoch) {
   nodes_.erase(cls);
   auto pos = std::find(class_list_.begin(), class_list_.end(), cls);
   if (pos != class_list_.end()) class_list_.erase(pos);
+  for (const Oid& c : below) RecomputeClosure(c, epoch);
 }
 
 void ClassGraph::RemoveSubclassEdge(const Oid& sub, const Oid& super,
@@ -96,28 +128,17 @@ void ClassGraph::RemoveSubclassEdge(const Oid& sub, const Oid& super,
     auto pos = std::find(p->subs.begin(), p->subs.end(), sub);
     if (pos != p->subs.end()) p->subs.erase(pos);
   }
+  RecomputeClosuresFrom(sub, epoch);
 }
 
 bool ClassGraph::IsClass(const Oid& oid) const { return nodes_.contains(oid); }
 
 bool ClassGraph::IsStrictSubclass(const Oid& sub, const Oid& super) const {
-  if (sub == super) return false;
-  const Node* start = Find(sub);
-  if (start == nullptr || Find(super) == nullptr) return false;
-  // Upward BFS from sub.
-  std::deque<Oid> queue(start->supers.begin(), start->supers.end());
-  OidSet seen;
-  while (!queue.empty()) {
-    Oid cur = queue.front();
-    queue.pop_front();
-    if (cur == super) return true;
-    if (seen.Contains(cur)) continue;
-    seen.Insert(cur);
-    if (const Node* n = Find(cur)) {
-      for (const Oid& s : n->supers) queue.push_back(s);
-    }
-  }
-  return false;
+  const std::vector<Ancestor>& closure = Closure(sub);
+  auto it = std::partition_point(
+      closure.begin(), closure.end(),
+      [&](const Ancestor& a) { return a.cls < super; });
+  return it != closure.end() && it->cls == super;
 }
 
 bool ClassGraph::IsSubclassEq(const Oid& sub, const Oid& super) const {
@@ -135,37 +156,24 @@ std::vector<Oid> ClassGraph::DirectSubclasses(const Oid& cls) const {
 }
 
 OidSet ClassGraph::Ancestors(const Oid& cls) const {
-  OidSet out;
-  const Node* start = Find(cls);
-  if (start == nullptr) return out;
-  std::deque<Oid> queue(start->supers.begin(), start->supers.end());
-  while (!queue.empty()) {
-    Oid cur = queue.front();
-    queue.pop_front();
-    if (out.Contains(cur)) continue;
-    out.Insert(cur);
-    if (const Node* n = Find(cur)) {
-      for (const Oid& s : n->supers) queue.push_back(s);
-    }
-  }
-  return out;
+  std::vector<Oid> out;
+  for (const Ancestor& a : Closure(cls)) out.push_back(a.cls);
+  return OidSet::FromSorted(std::move(out));
 }
 
 OidSet ClassGraph::Descendants(const Oid& cls) const {
-  OidSet out;
-  const Node* start = Find(cls);
-  if (start == nullptr) return out;
-  std::deque<Oid> queue(start->subs.begin(), start->subs.end());
-  while (!queue.empty()) {
-    Oid cur = queue.front();
-    queue.pop_front();
-    if (out.Contains(cur)) continue;
-    out.Insert(cur);
-    if (const Node* n = Find(cur)) {
-      for (const Oid& s : n->subs) queue.push_back(s);
-    }
+  std::vector<Oid> out;
+  for (const Oid& c : class_list_) {
+    if (IsStrictSubclass(c, cls)) out.push_back(c);
   }
-  return out;
+  return OidSet(std::move(out));
+}
+
+const std::vector<ClassGraph::Ancestor>& ClassGraph::Closure(
+    const Oid& cls) const {
+  static const std::vector<Ancestor> kNone;
+  const Node* n = Find(cls);
+  return n == nullptr ? kNone : n->closure;
 }
 
 const CountedOidSet& ClassGraph::DirectExtent(const Oid& cls) const {

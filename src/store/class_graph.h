@@ -1,6 +1,7 @@
 #ifndef XSQL_STORE_CLASS_GRAPH_H_
 #define XSQL_STORE_CLASS_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -30,8 +31,21 @@ namespace xsql {
 /// every node and chunk. Every mutator takes the writer's COW epoch and
 /// clones a piece before writing it under the store's one COW rule
 /// (CowWritable in store/cow.h); an insert clones one node and one chunk.
+///
+/// Each node also keeps its *closure*: its strict ancestors with their
+/// minimum IS-A distances. The edge mutators recompute the closures
+/// below the changed edge, so the subclass tests, `Ancestors` and the
+/// "nearest class wins" rule of behavioral inheritance read it with a
+/// binary search or a scan and never walk the graph.
 class ClassGraph {
  public:
+  /// A strict ancestor and its minimum IS-A distance (a direct
+  /// superclass is at distance 1).
+  struct Ancestor {
+    Oid cls;
+    uint32_t distance;
+  };
+
   /// Registers `cls` as a class with no superclasses (yet).
   /// Idempotent for already-declared classes.
   Status DeclareClass(const Oid& cls, uint64_t epoch);
@@ -71,6 +85,37 @@ class ClassGraph {
   OidSet Ancestors(const Oid& cls) const;
   OidSet Descendants(const Oid& cls) const;
 
+  /// The maintained closure of `cls`: its strict ancestors sorted by oid,
+  /// each with its minimum distance. Empty for an undeclared class.
+  const std::vector<Ancestor>& Closure(const Oid& cls) const;
+
+  /// Behavioral inheritance's "nearest class wins" (§2): the classes
+  /// satisfying `provides` at the minimum IS-A distance from `classes`,
+  /// each of which is at distance 0 from itself. Sorted by oid, without
+  /// duplicates; empty when no class in `classes` or above them provides.
+  /// Default values and method resolution both dispatch through this.
+  template <typename Provides>
+  std::vector<Oid> NearestProviders(const std::vector<Oid>& classes,
+                                    Provides&& provides) const {
+    uint32_t best = UINT32_MAX;
+    std::vector<Oid> out;
+    auto consider = [&](const Oid& cls, uint32_t distance) {
+      if (distance > best || !provides(cls)) return;
+      if (distance < best) {
+        best = distance;
+        out.clear();
+      }
+      out.push_back(cls);
+    };
+    for (const Oid& cls : classes) {
+      consider(cls, 0);
+      for (const Ancestor& a : Closure(cls)) consider(a.cls, a.distance);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
   /// Direct instances only.
   const CountedOidSet& DirectExtent(const Oid& cls) const;
 
@@ -92,16 +137,24 @@ class ClassGraph {
   struct Node {
     std::vector<Oid> supers;
     std::vector<Oid> subs;
+    std::vector<Ancestor> closure;
     CountedOidSet direct_extent;
     uint64_t epoch = 0;
     size_t ApproxBytes() const {
-      return sizeof(Node) + (supers.size() + subs.size()) * sizeof(Oid);
+      return sizeof(Node) + (supers.size() + subs.size()) * sizeof(Oid) +
+             closure.size() * sizeof(Ancestor);
     }
   };
 
   const Node* Find(const Oid& cls) const;
   /// The node writable in `epoch` (see CowWritable); nullptr if absent.
   Node* FindMutable(const Oid& cls, uint64_t epoch);
+  /// Recomputes the closure of `cls` from the IS-A edges.
+  void RecomputeClosure(const Oid& cls, uint64_t epoch);
+  /// After an edge change at `sub`: the closures of `sub` and of the
+  /// classes below it change, and no others. The set below `sub` does
+  /// not change with an edge above it, so the old closures find it.
+  void RecomputeClosuresFrom(const Oid& sub, uint64_t epoch);
 
   std::unordered_map<Oid, std::shared_ptr<Node>, OidHash> nodes_;
   std::vector<Oid> class_list_;

@@ -1,7 +1,6 @@
 #include "store/database.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/fault.h"
 #include "store/catalog.h"
@@ -61,7 +60,8 @@ Database::Database(ForkTag, const Database& src)
       definitions_(src.definitions_),
       version_(src.version_),
       cow_epoch_(src.cow_epoch_ + 1),
-      domain_(src.domain_) {}
+      domain_(src.domain_),
+      default_counts_(src.default_counts_) {}
 
 std::unique_ptr<Database> Database::Fork() const {
   return std::unique_ptr<Database>(new Database(ForkTag{}, *this));
@@ -89,6 +89,7 @@ void Database::CreateObjectRaw(const Oid& oid) {
 
 void Database::EraseObjectRaw(const Oid& oid) {
   if (!HasObject(oid)) return;
+  CountDefaults(oid, -1);
   ObjectShard& shard = WritableShard(oid);
   auto it = shard.objects.find(oid);
   for (const auto& [attr, value] : it->second.attrs()) {
@@ -110,6 +111,8 @@ void Database::PutAttrRaw(const Oid& obj, const Oid& attr, AttrValue value) {
   if (const AttrValue* prior = object->Get(attr)) {
     ForEachOccurrence(attr, *prior,
                       [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
+  } else {
+    CountDefault(obj, attr, +1);
   }
   if (value.set_valued()) {
     object->SetSet(attr, std::move(value.mutable_set()));
@@ -127,7 +130,10 @@ Status Database::AddToSetRaw(const Oid& obj, const Oid& attr,
   const bool new_value =
       new_attr || (prior->set_valued() && !prior->set().Contains(value));
   XSQL_RETURN_IF_ERROR(object->AddToSet(attr, value));
-  if (new_attr) domain_.Add(attr, cow_epoch_);
+  if (new_attr) {
+    domain_.Add(attr, cow_epoch_);
+    CountDefault(obj, attr, +1);
+  }
   if (new_value) domain_.Add(value, cow_epoch_);
   return Status::OK();
 }
@@ -139,6 +145,7 @@ void Database::RemoveAttrRaw(const Oid& obj, const Oid& attr) {
   if (prior == nullptr) return;
   ForEachOccurrence(attr, *prior,
                     [&](const Oid& x) { domain_.Remove(x, cow_epoch_); });
+  CountDefault(obj, attr, -1);
   object->Remove(attr);
 }
 
@@ -146,10 +153,12 @@ void Database::DeclareClassRaw(const Oid& cls) {
   if (graph_.IsClass(cls)) return;
   (void)graph_.DeclareClass(cls, cow_epoch_);
   domain_.Add(cls, cow_epoch_);
+  CountDefaults(cls, +1);
 }
 
 void Database::RemoveClassRaw(const Oid& cls) {
   if (!graph_.IsClass(cls)) return;
+  CountDefaults(cls, -1);
   graph_.RemoveClass(cls, cow_epoch_);
   domain_.Remove(cls, cow_epoch_);
 }
@@ -170,7 +179,7 @@ void Database::RemoveInstanceRaw(const Oid& obj, const Oid& cls) {
   graph_.RemoveFromExtent(cls, obj, cow_epoch_);
 }
 
-void Database::RecountDomain() {
+void Database::Recount() {
   domain_ = CountedOidSet();
   auto count = [&](const Oid& oid) { domain_.Add(oid, cow_epoch_); };
   ForEachObject([&](const Oid& oid, const Object& object) {
@@ -179,7 +188,26 @@ void Database::RecountDomain() {
       ForEachOccurrence(attr, value, count);
     }
   });
-  for (const Oid& cls : graph_.classes()) count(cls);
+  default_counts_.clear();
+  for (const Oid& cls : graph_.classes()) {
+    count(cls);
+    CountDefaults(cls, +1);
+  }
+}
+
+void Database::CountDefaults(const Oid& obj, int delta) {
+  if (const Object* object = GetObject(obj)) {
+    for (const auto& [attr, value] : object->attrs()) {
+      CountDefault(obj, attr, delta);
+    }
+  }
+}
+
+void Database::CountDefault(const Oid& obj, const Oid& attr, int delta) {
+  if (!graph_.IsClass(obj)) return;
+  uint32_t& count = default_counts_[attr];
+  count += delta;
+  if (count == 0) default_counts_.erase(attr);
 }
 
 Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
@@ -375,41 +403,17 @@ const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
   if (const Object* o = GetObject(obj)) {
     if (const AttrValue* v = o->Get(attr)) return v;
   }
-  // Behavioral inheritance of defaults: walk classes upward, level by
-  // level, and take the nearest class-object that defines the attribute.
-  std::deque<Oid> frontier;
-  for (const Oid& cls : DirectClassesOf(obj)) frontier.push_back(cls);
-  OidSet visited;
-  while (!frontier.empty()) {
-    std::vector<const AttrValue*> hits;
-    std::vector<Oid> hit_classes;
-    std::deque<Oid> next;
-    for (const Oid& cls : frontier) {
-      if (visited.Contains(cls)) continue;
-      visited.Insert(cls);
-      const Object* class_obj = GetObject(cls);
-      const AttrValue* v =
-          class_obj == nullptr ? nullptr : class_obj->Get(attr);
-      if (v != nullptr) {
-        hits.push_back(v);
-        hit_classes.push_back(cls);
-      } else {
-        for (const Oid& super : graph_.DirectSuperclasses(cls)) {
-          next.push_back(super);
-        }
-      }
-    }
-    if (!hits.empty()) {
-      // Deterministic pick among incomparable providers: smallest oid.
-      size_t best = 0;
-      for (size_t i = 1; i < hit_classes.size(); ++i) {
-        if (hit_classes[i] < hit_classes[best]) best = i;
-      }
-      return hits[best];
-    }
-    frontier = next;
-  }
-  return nullptr;
+  if (!default_counts_.contains(attr)) return nullptr;
+  // Behavioral inheritance of defaults: the nearest class-object that
+  // stores the attribute wins; among incomparable nearest ones, the
+  // smallest class oid (a deterministic stand-in for the schema-level
+  // conflict resolution the paper requires).
+  const std::vector<Oid> providers = graph_.NearestProviders(
+      DirectClassesOf(obj), [&](const Oid& cls) {
+        const Object* class_obj = GetObject(cls);
+        return class_obj != nullptr && class_obj->Get(attr) != nullptr;
+      });
+  return providers.empty() ? nullptr : GetObject(providers.front())->Get(attr);
 }
 
 bool Database::IsInstanceOf(const Oid& oid, const Oid& cls) const {
@@ -437,12 +441,14 @@ std::vector<Oid> Database::DirectClassesOf(const Oid& obj) const {
 }
 
 OidSet Database::AllClassesOf(const Oid& obj) const {
-  OidSet out;
+  std::vector<Oid> out;
   for (const Oid& direct : DirectClassesOf(obj)) {
-    out.Insert(direct);
-    out = OidSet::Union(out, graph_.Ancestors(direct));
+    out.push_back(direct);
+    for (const ClassGraph::Ancestor& a : graph_.Closure(direct)) {
+      out.push_back(a.cls);
+    }
   }
-  return out;
+  return OidSet(std::move(out));
 }
 
 std::vector<std::pair<Oid, Oid>> Database::AllInstancePairs() const {

@@ -46,6 +46,13 @@ Status LoadSnapshot(const std::string& text, Database* db);
 ///    (instances of `Method`) so that method variables can range over
 ///    them — the paper's schema-browsing feature.
 ///
+/// Dispatch reads maintained facts and never walks the IS-A graph: the
+/// class graph keeps each class's closure (strict ancestors with their
+/// minimum distances), the method registry indexes definitions by name,
+/// and the database counts, per attribute, the class-objects that store
+/// it. A path step whose attribute no class-object stores and no class
+/// defines costs the stored-attribute probe alone.
+///
 /// MVCC support: `Fork()` produces a structurally-shared copy in O(schema
 /// + shard-count). The per-oid state (object records and each oid's
 /// direct classes) is sharded by oid hash and each shard is held by
@@ -65,9 +72,9 @@ class Database {
 
   /// A structurally-shared copy for MVCC: shares every object shard,
   /// class-graph node, and extent and domain chunk with `this`; copies the
-  /// (schema-sized) signature and method stores and definitions. The
-  /// fork starts a new COW epoch, so its first write to any shared piece
-  /// clones it.
+  /// (schema-sized) signature and method stores, definitions and default
+  /// counts. The fork starts a new COW epoch, so its first write to any
+  /// shared piece clones it.
   ///
   /// If *this* database keeps mutating after the fork (the writer path:
   /// master forks a snapshot, then executes the next statement), the
@@ -186,6 +193,12 @@ class Database {
   /// All classes `obj` belongs to (direct classes + their ancestors).
   OidSet AllClassesOf(const Oid& obj) const;
 
+  /// Per attribute, the number of class-objects that store it — the
+  /// providers of inherited default values. Absent attributes count 0.
+  const std::unordered_map<Oid, uint32_t, OidHash>& default_counts() const {
+    return default_counts_;
+  }
+
   /// Every (object, direct class) pair — snapshot/export support.
   std::vector<std::pair<Oid, Oid>> AllInstancePairs() const;
 
@@ -233,8 +246,7 @@ class Database {
 
  private:
   /// The snapshot loader restores the class graph and the instance-of
-  /// pairs verbatim through the raw primitives, then recounts the domain
-  /// once.
+  /// pairs verbatim through the raw primitives, then recounts once.
   friend Status storage::LoadSnapshot(const std::string& text, Database* db);
 
   /// Per-oid sharding: one shared_ptr'd shard per hash slice, so a write
@@ -286,9 +298,9 @@ class Database {
   // Counted raw primitives. Every change to an object record, an
   // attribute or the class list — forward or undo inverse — goes
   // through these, so the occurrence counts behind the active domain
-  // never drift and Rollback needs no domain-specific inverses. They
-  // neither record undo nor Touch() (Rollback touches once at the end),
-  // and each tolerates an absent target.
+  // and the default counts never drift and Rollback needs no inverses
+  // specific to either. They neither record undo nor Touch() (Rollback
+  // touches once at the end), and each tolerates an absent target.
   void CreateObjectRaw(const Oid& oid);
   /// Drops the object and the counts of its own attributes.
   void EraseObjectRaw(const Oid& oid);
@@ -303,8 +315,13 @@ class Database {
   void AddInstanceRaw(const Oid& obj, const Oid& cls);
   void RemoveInstanceRaw(const Oid& obj, const Oid& cls);
 
-  /// Rebuilds the domain from scratch (after a raw snapshot load).
-  void RecountDomain();
+  /// Rebuilds the domain and the default counts from scratch (after a
+  /// raw snapshot load).
+  void Recount();
+  /// Adds `delta` to the default count of `attr` (resp. of each
+  /// attribute `obj` stores) when `obj` is a class-object.
+  void CountDefault(const Oid& obj, const Oid& attr, int delta);
+  void CountDefaults(const Oid& obj, int delta);
 
   Status RegisterMethodObject(const Oid& attr);
   /// Creates the object record if absent, recording its erasure.
@@ -339,6 +356,8 @@ class Database {
 
   /// The active domain, counted per occurrence.
   CountedOidSet domain_;
+  /// See default_counts(); an attribute's entry is erased at 0.
+  std::unordered_map<Oid, uint32_t, OidHash> default_counts_;
 };
 
 }  // namespace xsql

@@ -1,8 +1,20 @@
 #include "store/method.h"
 
-#include <deque>
+#include <algorithm>
 
 namespace xsql {
+
+namespace {
+
+const MethodRegistry::Def* FindDef(const std::vector<MethodRegistry::Def>& defs,
+                                   const Oid& cls, int arity) {
+  auto it = std::find_if(defs.begin(), defs.end(), [&](const auto& def) {
+    return def.arity == arity && def.cls == cls;
+  });
+  return it == defs.end() ? nullptr : &*it;
+}
+
+}  // namespace
 
 Status MethodRegistry::Define(const Oid& cls, const Oid& method, int arity,
                               std::shared_ptr<const MethodBody> body) {
@@ -13,64 +25,47 @@ Status MethodRegistry::Define(const Oid& cls, const Oid& method, int arity,
     return Status::InvalidArgument("body arity mismatch for " +
                                    method.ToString());
   }
-  defs_[Key{cls, method, arity}] = std::move(body);
+  Restore(cls, method, arity, std::move(body));
   return Status::OK();
 }
 
 Status MethodRegistry::ResolveConflict(const Oid& cls, const Oid& method,
                                        const Oid& from_super) {
-  conflict_choice_[Key{cls, method, /*arity=*/-1}] = from_super;
+  conflict_choice_[Key{cls, method}] = from_super;
   return Status::OK();
 }
 
 bool MethodRegistry::DefinedOn(const Oid& cls, const Oid& method,
                                int arity) const {
-  return defs_.contains(Key{cls, method, arity});
+  return FindDef(DefinitionsOf(method), cls, arity) != nullptr;
 }
 
 Result<MethodRegistry::Resolution> MethodRegistry::Resolve(
     const ClassGraph& graph, const std::vector<Oid>& classes,
     const Oid& method, int arity) const {
-  // Breadth-first search upward from the direct classes: the nearest
-  // definition wins (overriding); two *incomparable* nearest definitions
-  // are a conflict unless the schema resolved it.
-  std::deque<Oid> frontier(classes.begin(), classes.end());
-  OidSet visited;
-  std::vector<Oid> hits;          // classes at the shallowest level with defs
-  std::deque<Oid> next;
-  while (!frontier.empty() && hits.empty()) {
-    // Process one BFS level at a time so "nearest" is well defined.
-    next.clear();
-    for (const Oid& cls : frontier) {
-      if (visited.Contains(cls)) continue;
-      visited.Insert(cls);
-      auto it = defs_.find(Key{cls, method, arity});
-      if (it != defs_.end()) {
-        hits.push_back(cls);
-      } else {
-        for (const Oid& super : graph.DirectSuperclasses(cls)) {
-          next.push_back(super);
-        }
-      }
-    }
-    frontier = next;
-  }
+  // The nearest definitions win (overriding); two *incomparable* nearest
+  // definitions are a conflict unless the schema resolved it.
+  const std::vector<Def>& defs = DefinitionsOf(method);
+  const std::vector<Oid> hits =
+      graph.NearestProviders(classes, [&](const Oid& cls) {
+        return FindDef(defs, cls, arity) != nullptr;
+      });
   if (hits.empty()) {
     return Status::NotFound("no definition of " + method.ToString() + "/" +
                             std::to_string(arity) + " visible");
   }
   if (hits.size() == 1) {
-    return Resolution{hits[0], defs_.at(Key{hits[0], method, arity})};
+    return Resolution{hits[0], FindDef(defs, hits[0], arity)->body};
   }
   // Multiple incomparable definitions at the same depth: consult the
   // explicit conflict-resolution table (checked per starting class).
   for (const Oid& start : classes) {
-    auto choice = conflict_choice_.find(Key{start, method, /*arity=*/-1});
+    auto choice = conflict_choice_.find(Key{start, method});
     if (choice != conflict_choice_.end()) {
       for (const Oid& hit : hits) {
         if (hit == choice->second ||
             graph.IsStrictSubclass(choice->second, hit)) {
-          return Resolution{hit, defs_.at(Key{hit, method, arity})};
+          return Resolution{hit, FindDef(defs, hit, arity)->body};
         }
       }
     }
@@ -85,38 +80,40 @@ Result<MethodRegistry::Resolution> MethodRegistry::Resolve(
   return Status::RuntimeError(std::move(msg));
 }
 
-Result<MethodRegistry::Resolution> MethodRegistry::ResolveForClass(
-    const ClassGraph& graph, const Oid& cls, const Oid& method,
-    int arity) const {
-  return Resolve(graph, {cls}, method, arity);
-}
-
 std::shared_ptr<const MethodBody> MethodRegistry::Definition(
     const Oid& cls, const Oid& method, int arity) const {
-  auto it = defs_.find(Key{cls, method, arity});
-  return it == defs_.end() ? nullptr : it->second;
+  const Def* def = FindDef(DefinitionsOf(method), cls, arity);
+  return def == nullptr ? nullptr : def->body;
 }
 
 void MethodRegistry::Restore(const Oid& cls, const Oid& method, int arity,
                              std::shared_ptr<const MethodBody> body) {
-  Key key{cls, method, arity};
-  if (body == nullptr) {
-    defs_.erase(key);
-  } else {
-    defs_[key] = std::move(body);
+  std::vector<Def>& defs = defs_[method];
+  auto it = std::find_if(defs.begin(), defs.end(), [&](const Def& def) {
+    return def.arity == arity && def.cls == cls;
+  });
+  if (body != nullptr) {
+    if (it == defs.end()) {
+      defs.push_back(Def{cls, arity, std::move(body)});
+    } else {
+      it->body = std::move(body);
+    }
+    return;
   }
+  if (it != defs.end()) defs.erase(it);
+  if (defs.empty()) defs_.erase(method);
 }
 
 std::optional<Oid> MethodRegistry::ConflictChoice(const Oid& cls,
                                                   const Oid& method) const {
-  auto it = conflict_choice_.find(Key{cls, method, /*arity=*/-1});
+  auto it = conflict_choice_.find(Key{cls, method});
   if (it == conflict_choice_.end()) return std::nullopt;
   return it->second;
 }
 
 void MethodRegistry::RestoreConflictChoice(const Oid& cls, const Oid& method,
                                            std::optional<Oid> from_super) {
-  Key key{cls, method, /*arity=*/-1};
+  Key key{cls, method};
   if (!from_super.has_value()) {
     conflict_choice_.erase(key);
   } else {
@@ -124,13 +121,11 @@ void MethodRegistry::RestoreConflictChoice(const Oid& cls, const Oid& method,
   }
 }
 
-std::vector<MethodRegistry::Entry> MethodRegistry::AllDefinitions() const {
-  std::vector<Entry> out;
-  out.reserve(defs_.size());
-  for (const auto& [key, body] : defs_) {
-    out.push_back(Entry{key.cls, key.method, key.arity});
-  }
-  return out;
+const std::vector<MethodRegistry::Def>& MethodRegistry::DefinitionsOf(
+    const Oid& method) const {
+  static const std::vector<Def> kNone;
+  auto it = defs_.find(method);
+  return it == defs_.end() ? kNone : it->second;
 }
 
 }  // namespace xsql

@@ -45,8 +45,18 @@ class MethodBody {
 /// resolve the conflict explicitly (`ResolveConflict`); otherwise
 /// resolution reports a runtime error. Structural inheritance of
 /// *signatures* is unaffected (handled by SignatureStore).
+///
+/// Definitions are indexed by method name, so a name no class defines —
+/// every stored attribute, in practice — is answered by one hash probe.
 class MethodRegistry {
  public:
+  /// A direct definition of a method on a class.
+  struct Def {
+    Oid cls;
+    int arity;
+    std::shared_ptr<const MethodBody> body;
+  };
+
   /// Defines (or redefines) `method`/`arity` on `cls`.
   Status Define(const Oid& cls, const Oid& method, int arity,
                 std::shared_ptr<const MethodBody> body);
@@ -66,16 +76,12 @@ class MethodRegistry {
   };
 
   /// Resolves the definition of `method`/`arity` seen by an object whose
-  /// direct classes are `classes`, walking the IS-A graph upward and
-  /// applying overriding. NotFound if no definition is visible;
+  /// direct classes are `classes`: the definitions nearest in the IS-A
+  /// closure win (overriding). NotFound if no definition is visible;
   /// RuntimeError on an unresolved multiple-inheritance conflict.
   Result<Resolution> Resolve(const ClassGraph& graph,
                              const std::vector<Oid>& classes,
                              const Oid& method, int arity) const;
-
-  /// Convenience: resolve for a single class.
-  Result<Resolution> ResolveForClass(const ClassGraph& graph, const Oid& cls,
-                                     const Oid& method, int arity) const;
 
   /// The direct definition of `method`/`arity` on `cls`, or null.
   /// Undo support: captured before a Define overwrites it.
@@ -96,32 +102,35 @@ class MethodRegistry {
   void RestoreConflictChoice(const Oid& cls, const Oid& method,
                              std::optional<Oid> from_super);
 
-  /// All (class, method, arity) triples with a direct definition.
-  struct Entry {
-    Oid cls;
-    Oid method;
-    int arity;
-  };
-  std::vector<Entry> AllDefinitions() const;
+  /// Every direct definition of `method`, on any class at any arity;
+  /// empty exactly when no class defines the name.
+  const std::vector<Def>& DefinitionsOf(const Oid& method) const;
+
+  /// Visits every direct definition: `fn(const Oid& method, const Def&)`.
+  template <typename Fn>
+  void ForEachDefinition(Fn&& fn) const {
+    for (const auto& [method, defs] : defs_) {
+      for (const Def& def : defs) fn(method, def);
+    }
+  }
 
  private:
   struct Key {
     Oid cls;
     Oid method;
-    int arity;
     bool operator==(const Key& other) const {
-      return cls == other.cls && method == other.method &&
-             arity == other.arity;
+      return cls == other.cls && method == other.method;
     }
   };
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return k.cls.Hash() * 31 + k.method.Hash() * 7 +
-             static_cast<size_t>(k.arity);
+      return k.cls.Hash() * 31 + k.method.Hash();
     }
   };
 
-  std::unordered_map<Key, std::shared_ptr<const MethodBody>, KeyHash> defs_;
+  /// Method name -> its direct definitions. A name's entry is erased
+  /// with its last definition.
+  std::unordered_map<Oid, std::vector<Def>, OidHash> defs_;
   // (cls, method) -> superclass chosen for conflict resolution.
   std::unordered_map<Key, Oid, KeyHash> conflict_choice_;
 };

@@ -211,10 +211,7 @@ class PurityScan {
   /// Any registry definition (query or native body) for this method
   /// name, at any arity: invoking one may write.
   bool HasDefinition(const Oid& method) {
-    for (const MethodRegistry::Entry& entry : db_.methods().AllDefinitions()) {
-      if (entry.method == method) return true;
-    }
-    return false;
+    return !db_.methods().DefinitionsOf(method).empty();
   }
 
   const Database& db_;

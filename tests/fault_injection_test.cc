@@ -22,6 +22,7 @@ namespace xsql {
 namespace {
 
 using Domain = FaultInjector::Domain;
+using testing_oracle::DispatchMatchesWalk;
 using testing_oracle::DomainMatchesRecompute;
 using testing_oracle::InstancesMatchExtents;
 
@@ -223,6 +224,7 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
         // run completed cleanly and its effects stay.
         EXPECT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
         EXPECT_TRUE(DomainMatchesRecompute(*db)) << stmt;
+        EXPECT_TRUE(DispatchMatchesWalk(*db)) << stmt;
         EXPECT_TRUE(InstancesMatchExtents(*db)) << stmt;
         break;
       }
@@ -237,6 +239,8 @@ size_t SweepEveryMutationPoint(Database* db, Session* session,
           << " (check #" << n << ")";
       // The rollback also restored the domain counts it never logged.
       EXPECT_TRUE(DomainMatchesRecompute(*db))
+          << stmt << ": after fault at " << site << " (check #" << n << ")";
+      EXPECT_TRUE(DispatchMatchesWalk(*db))
           << stmt << ": after fault at " << site << " (check #" << n << ")";
       EXPECT_TRUE(InstancesMatchExtents(*db))
           << stmt << ": after fault at " << site << " (check #" << n << ")";
@@ -321,12 +325,14 @@ TEST_F(FaultInjectionTest, RandomFaultsNeverLeavePartialState) {
         ASSERT_TRUE(fired) << stmt << ": " << out.status().ToString();
         EXPECT_EQ(storage::SaveSnapshot(db), before) << stmt;
         EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
+        EXPECT_TRUE(DispatchMatchesWalk(db)) << stmt;
         EXPECT_TRUE(InstancesMatchExtents(db)) << stmt;
         // Re-run cleanly so later statements see their prerequisites.
         auto retry = session.Execute(stmt);
         ASSERT_TRUE(retry.ok()) << stmt << ": " << retry.status().ToString();
       }
       EXPECT_TRUE(DomainMatchesRecompute(db)) << stmt;
+      EXPECT_TRUE(DispatchMatchesWalk(db)) << stmt;
       EXPECT_TRUE(InstancesMatchExtents(db)) << stmt;
     }
   }

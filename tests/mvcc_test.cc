@@ -34,6 +34,7 @@ using storage::DurableDatabase;
 using storage::SaveSnapshot;
 using storage::VersionChain;
 using storage::Wal;
+using testing_oracle::DispatchMatchesWalk;
 using testing_oracle::DomainMatchesRecompute;
 using testing_oracle::InstancesMatchExtents;
 
@@ -110,8 +111,10 @@ TEST(DatabaseForkTest, MasterMutationsInvisibleToFork) {
   // The shared domain chunks were cloned, not patched: each side's
   // domain is its own state's.
   EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(DispatchMatchesWalk(db));
   EXPECT_TRUE(InstancesMatchExtents(db));
   EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_TRUE(DispatchMatchesWalk(*fork));
   EXPECT_TRUE(InstancesMatchExtents(*fork));
   EXPECT_TRUE(fork->ActiveDomain().Contains(Oid::Int(30)));
   EXPECT_FALSE(fork->ActiveDomain().Contains(Oid::Int(31)));
@@ -136,8 +139,10 @@ TEST(DatabaseForkTest, ForkMutationsInvisibleToMaster) {
   EXPECT_EQ(db.GetObject(A("ghost")), nullptr);
   EXPECT_TRUE(db.IsInstanceOf(A("mary"), A("Person")));
   EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(DispatchMatchesWalk(db));
   EXPECT_TRUE(InstancesMatchExtents(db));
   EXPECT_TRUE(DomainMatchesRecompute(*fork));
+  EXPECT_TRUE(DispatchMatchesWalk(*fork));
   EXPECT_TRUE(InstancesMatchExtents(*fork));
   EXPECT_FALSE(db.ActiveDomain().Contains(A("ghost")));
 }
@@ -169,6 +174,7 @@ TEST(DatabaseForkTest, PrivateReadForkMintsObjectsIntoItsOwnDomain) {
   EXPECT_EQ(SaveSnapshot(*snapshot), frozen);
   for (const Database* side : {&db, snapshot.get(), scratch.get()}) {
     EXPECT_TRUE(DomainMatchesRecompute(*side));
+    EXPECT_TRUE(DispatchMatchesWalk(*side));
     EXPECT_TRUE(InstancesMatchExtents(*side));
   }
   for (const Oid& minted : out->created) {
@@ -201,6 +207,7 @@ TEST(DatabaseForkTest, ChainedForksStayIndependent) {
   ASSERT_TRUE(f3->SetScalar(A("o1"), A("Tag"), Oid::Int(7)).ok());
   for (const Database* side : {&db, f1.get(), f2.get(), f3.get()}) {
     EXPECT_TRUE(DomainMatchesRecompute(*side));
+    EXPECT_TRUE(DispatchMatchesWalk(*side));
     EXPECT_TRUE(InstancesMatchExtents(*side));
   }
   EXPECT_FALSE(f1->ActiveDomain().Contains(A("o2")));
@@ -288,6 +295,7 @@ TEST(DatabaseForkTest, MembershipWritesStayOnTheirSide) {
               std::vector<Oid>{A("Person")});
     EXPECT_TRUE(InstancesMatchExtents(*own.db));
     EXPECT_TRUE(DomainMatchesRecompute(*own.db));
+    EXPECT_TRUE(DispatchMatchesWalk(*own.db));
   }
   EXPECT_EQ(SaveSnapshot(*frozen), frozen_text);
   EXPECT_TRUE(InstancesMatchExtents(*frozen));

@@ -86,6 +86,39 @@ TEST(LexerTest, OutOfRangeNumericLiteralsAreParseErrors) {
   EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
 }
 
+TEST(LexerTest, RealLiteralsTakeAnExponent) {
+  for (const auto& [text, value] :
+       std::vector<std::pair<std::string, double>>{{"9e307", 9e307},
+                                                   {"1.5E-3", 1.5e-3},
+                                                   {"2e+3", 2e3},
+                                                   {"7E0", 7.0}}) {
+    auto tokens = Lex(text);
+    ASSERT_TRUE(tokens.ok()) << text;
+    ASSERT_EQ(tokens->size(), 2u) << text;  // the literal and kEnd
+    EXPECT_EQ((*tokens)[0].type, TokenType::kReal) << text;
+    EXPECT_EQ((*tokens)[0].real_value, value) << text;
+    EXPECT_EQ((*tokens)[0].text, text);
+  }
+  // An `e` without a digit after it (and its optional sign) is not an
+  // exponent: the integer ends and the `e` starts the next token.
+  for (const char* text : {"2e", "2ex", "2e+", "2e-x", "2E+y"}) {
+    auto tokens = Lex(text);
+    ASSERT_TRUE(tokens.ok()) << text;
+    EXPECT_EQ((*tokens)[0].type, TokenType::kInt) << text;
+    EXPECT_EQ((*tokens)[0].int_value, 2) << text;
+    EXPECT_EQ((*tokens)[1].type, TokenType::kIdent) << text;
+  }
+  // Out of range stays a ParseError with an exponent too.
+  for (const char* text : {"1e400", "1e-400", "2.5E+999"}) {
+    auto tokens = Lex(text);
+    ASSERT_FALSE(tokens.ok()) << text;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  }
+  auto trailing = Parse("UPDATE CLASS Person SET kid.Age = 2ex");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().code(), StatusCode::kParseError);
+}
+
 class ParserTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -207,6 +240,47 @@ TEST_F(ParserTest, AggregatesAndArithmetic) {
   const Condition& cmp = *stmt2.query->simple->where;
   EXPECT_EQ(cmp.rhs.kind, ValueExpr::Kind::kArith);
   EXPECT_EQ(cmp.rhs.arith_op, ArithOp::kMul);
+}
+
+// The aggregate names are keywords only where an aggregate can start;
+// after a `.`, in a method head and in a signature they name methods.
+TEST_F(ParserTest, AggregateNamesAreMethodNamesAfterADot) {
+  Statement update = MustParse("UPDATE CLASS Person SET h.Max = 5");
+  ASSERT_EQ(update.kind, Statement::Kind::kUpdateClass);
+  const PathExpr& target = update.update_class->assignments[0].target;
+  ASSERT_EQ(target.steps.size(), 1u);
+  EXPECT_EQ(target.steps[0].method.name, Oid::Atom("Max"));
+
+  Statement query = MustParse(
+      "SELECT X FROM Person X WHERE max(X.Count) > X.Sum.(avg @ 2) "
+      "and X.min[Y] and X.COUNT[Z]");
+  const Condition& where = *query.query->simple->where;
+  ASSERT_EQ(where.kind, Condition::Kind::kAnd);
+  const Condition& cmp = *where.children[0];
+  EXPECT_EQ(cmp.lhs.kind, ValueExpr::Kind::kAggregate);
+  EXPECT_EQ(cmp.lhs.agg_fn, AggFn::kMax);
+  EXPECT_EQ(cmp.lhs.path.steps[0].method.name, Oid::Atom("Count"));
+  ASSERT_EQ(cmp.rhs.kind, ValueExpr::Kind::kPath);
+  EXPECT_EQ(cmp.rhs.path.steps[0].method.name, Oid::Atom("Sum"));
+  EXPECT_EQ(cmp.rhs.path.steps[1].method.name, Oid::Atom("avg"));
+  EXPECT_EQ(where.children[1]->path.steps[0].method.name, Oid::Atom("min"));
+
+  Statement alter = MustParse(
+      "ALTER CLASS Person ADD SIGNATURE Sum => Numeral "
+      "SELECT (Sum) = 1 FROM Person X OID X");
+  ASSERT_EQ(alter.kind, Statement::Kind::kAlterClass);
+  EXPECT_EQ(alter.alter_class->add_signatures[0].method, Oid::Atom("Sum"));
+  EXPECT_EQ(alter.alter_class->method_def->select[0].method, Oid::Atom("Sum"));
+
+  // Where a value starts, the names stay reserved.
+  for (const std::string& text :
+       {std::string("SELECT X FROM Person X WHERE max[X]"),
+        std::string("SELECT count FROM Person X"),
+        std::string("SELECT X FROM Person X WHERE X.Age = sum")}) {
+    auto result = ParseAndResolve(text, db_);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << text;
+  }
 }
 
 TEST_F(ParserTest, OidFunctionClause) {

@@ -28,6 +28,7 @@ namespace {
 
 Oid A(const char* s) { return Oid::Atom(s); }
 
+using testing_oracle::DispatchMatchesWalk;
 using testing_oracle::DomainMatchesRecompute;
 using testing_oracle::InstancesMatchExtents;
 
@@ -102,6 +103,7 @@ TEST_P(DifferentialTest, SmartEqualsNaive) {
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(DispatchMatchesWalk(db)) << text;
     EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
@@ -125,6 +127,7 @@ TEST_P(DifferentialTest, SmartEqualsFLogic) {
     ASSERT_TRUE(smart.ok()) << text;
     EXPECT_EQ(Rows(smart->relation), Rows(*flogic_answer)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(DispatchMatchesWalk(db)) << text;
     EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
@@ -188,6 +191,7 @@ TEST_P(DifferentialTest, RangePruningIsSound) {
     ASSERT_TRUE(without.ok()) << text;
     EXPECT_EQ(Rows(with->relation), Rows(without->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(DispatchMatchesWalk(db)) << text;
     EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }
@@ -203,6 +207,7 @@ TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
   Session session(&db);
   Rng rng(GetParam() * 7 + 5);
   ASSERT_TRUE(DomainMatchesRecompute(db));
+  ASSERT_TRUE(DispatchMatchesWalk(db));
   ASSERT_TRUE(InstancesMatchExtents(db));
   std::vector<Oid> persons;
   for (const Oid& p : db.Extent(A("Person"))) {
@@ -250,6 +255,13 @@ TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
         break;
     }
   }
+  // Defaults on a class-object, written, overwritten, and written by a
+  // statement that rolls back: the default counts follow all three.
+  script.push_back("UPDATE CLASS Class SET Person.Legs = " + value());
+  script.push_back("FAULT UPDATE CLASS Class SET Person.Arms = 2; "
+                   "UPDATE CLASS Person SET " + person() + ".Nick = 'n" +
+                   value() + "'");
+  script.push_back("UPDATE CLASS Class SET Person.Legs = " + value());
   FaultInjector& fi = FaultInjector::Global();
   for (const std::string& stmt : script) {
     if (stmt.rfind("FAULT ", 0) == 0) {
@@ -266,6 +278,7 @@ TEST_P(DifferentialTest, MaintainedDomainEqualsRecompute) {
       ASSERT_TRUE(out.ok()) << stmt << ": " << out.status().ToString();
     }
     ASSERT_TRUE(DomainMatchesRecompute(db)) << stmt;
+    ASSERT_TRUE(DispatchMatchesWalk(db)) << stmt;
     ASSERT_TRUE(InstancesMatchExtents(db)) << stmt;
   }
 }
@@ -438,6 +451,7 @@ TEST_P(DifferentialTest, RandomPathQueriesAgree) {
     ASSERT_TRUE(naive.ok()) << text << "\n" << naive.status().ToString();
     EXPECT_EQ(Rows(smart->relation), Rows(naive->relation)) << text;
     EXPECT_TRUE(DomainMatchesRecompute(db)) << text;
+    EXPECT_TRUE(DispatchMatchesWalk(db)) << text;
     EXPECT_TRUE(InstancesMatchExtents(db)) << text;
   }
 }

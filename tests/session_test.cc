@@ -156,11 +156,8 @@ TEST_F(SessionTest, SumAndAvgStayInRange) {
 
   ASSERT_TRUE(
       run("UPDATE CLASS Person SET h.Over = {9223372036854775807, 1}").ok());
-  // 9e307 and 9.9e307 (the lexer has no exponent syntax): finite, with
-  // an infinite sum.
-  const std::string huge = "{9" + std::string(307, '0') + ".0, 99" +
-                           std::string(306, '0') + ".0}";
-  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Huge = " + huge).ok());
+  // Finite, with an infinite sum.
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Huge = {9e307, 9.9E+307}").ok());
   const Oid before = total();
   for (const auto& [stmt, message] :
        std::vector<std::pair<std::string, std::string>>{
@@ -176,6 +173,37 @@ TEST_F(SessionTest, SumAndAvgStayInRange) {
         << out.status().ToString();
   }
   EXPECT_EQ(total(), before);
+}
+
+// Real literals take an exponent; an aggregate name after a `.` is an
+// attribute, written, read and aggregated over like any other.
+TEST_F(SessionTest, ExponentsAndAggregateNamedAttributes) {
+  auto run = [&](const std::string& stmt) { return session_->Execute(stmt); };
+  ASSERT_TRUE(run("UPDATE CLASS Person SET kid.Age = 9e307").ok());
+  EXPECT_EQ(db_.GetAttribute(A("kid"), A("Age"))->scalar(), Oid::Real(9e307));
+  ASSERT_TRUE(run("UPDATE CLASS Person SET kid.Age = 1.5E-3").ok());
+  EXPECT_EQ(db_.GetAttribute(A("kid"), A("Age"))->scalar(),
+            Oid::Real(1.5e-3));
+
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Max = 5").ok());
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Count = {1, 2, 3}").ok());
+  ASSERT_TRUE(run("UPDATE CLASS Person SET h.Sum = sum(h.Count)").ok());
+  EXPECT_EQ(db_.GetAttribute(A("h"), A("Max"))->scalar(), Oid::Int(5));
+  EXPECT_EQ(db_.GetAttribute(A("h"), A("Sum"))->scalar(), Oid::Int(6));
+  auto max = session_->Query("SELECT M WHERE h.Max[M]");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  ASSERT_EQ(max->size(), 1u);
+  EXPECT_EQ(max->rows()[0][0], Oid::Int(5));
+  auto counted = session_->Query(
+      "SELECT X WHERE count(X.Count) = 3 and X.Max = 5");
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  ASSERT_EQ(counted->size(), 1u);
+  EXPECT_EQ(counted->rows()[0][0], A("h"));
+  // A method variable finds the attribute by its name.
+  auto names = session_->Query("SELECT \"Y WHERE h.\"Y[5]");
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  ASSERT_EQ(names->size(), 1u);
+  EXPECT_EQ(names->rows()[0][0], A("Max"));
 }
 
 TEST_F(SessionTest, RelationToStringShowsColumnsAndRows) {

@@ -17,6 +17,7 @@ namespace {
 
 Oid A(const char* s) { return Oid::Atom(s); }
 
+using testing_oracle::DispatchMatchesWalk;
 using testing_oracle::DomainMatchesRecompute;
 using testing_oracle::InstancesMatchExtents;
 
@@ -126,6 +127,7 @@ TEST_F(SnapshotTest, FullRoundTrip) {
       db_.signatures().Declared(A("Employee"), A("Salary")).size());
   // The loader recounts the domain it wrote around: same domain, exact.
   EXPECT_TRUE(DomainMatchesRecompute(restored));
+  EXPECT_TRUE(DispatchMatchesWalk(restored));
   EXPECT_TRUE(InstancesMatchExtents(restored));
   EXPECT_EQ(restored.ActiveDomain().ToOidSet(), db_.ActiveDomain().ToOidSet());
 }
@@ -143,12 +145,14 @@ TEST_F(SnapshotTest, LoadedDomainKeepsCountingWrites) {
   ASSERT_TRUE(restored.SetScalar(A("_john13"), A("Tag"), Oid::Int(1)).ok());
   EXPECT_FALSE(restored.ActiveDomain().Contains(Oid::Int(4242)));
   EXPECT_TRUE(DomainMatchesRecompute(restored));
+  EXPECT_TRUE(DispatchMatchesWalk(restored));
   EXPECT_TRUE(InstancesMatchExtents(restored));
   // A second round trip of the written state agrees too.
   Database again;
   ASSERT_TRUE(
       storage::LoadSnapshot(storage::SaveSnapshot(restored), &again).ok());
   EXPECT_TRUE(DomainMatchesRecompute(again));
+  EXPECT_TRUE(DispatchMatchesWalk(again));
   EXPECT_TRUE(InstancesMatchExtents(again));
   EXPECT_EQ(again.ActiveDomain().ToOidSet(),
             restored.ActiveDomain().ToOidSet());
@@ -305,6 +309,7 @@ TEST_F(SnapshotTest, TruncatedSnapshotIsRejected) {
           .ok());
   // Whatever the partial load wrote, the domain still describes it.
   EXPECT_TRUE(DomainMatchesRecompute(restored));
+  EXPECT_TRUE(DispatchMatchesWalk(restored));
   EXPECT_TRUE(InstancesMatchExtents(restored));
 }
 
@@ -392,6 +397,7 @@ TEST_F(SnapshotTest, EmptyDatabaseRoundTrips) {
   ASSERT_TRUE(storage::LoadSnapshot(snapshot, &restored).ok());
   EXPECT_TRUE(restored.graph().IsClass(A("Object")));
   EXPECT_TRUE(DomainMatchesRecompute(restored));
+  EXPECT_TRUE(DispatchMatchesWalk(restored));
   EXPECT_TRUE(InstancesMatchExtents(restored));
 }
 

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/rng.h"
+#include "domain_oracle.h"
 #include "store/catalog.h"
 #include "store/counted_oid_set.h"
 #include "store/database.h"
@@ -11,6 +12,9 @@ namespace xsql {
 namespace {
 
 Oid A(const char* s) { return Oid::Atom(s); }
+
+using testing_oracle::DispatchMatchesWalk;
+using testing_oracle::DomainMatchesRecompute;
 
 TEST(ClassGraphTest, DeclareAndSubclass) {
   ClassGraph graph;
@@ -35,6 +39,37 @@ TEST(ClassGraphTest, TransitiveSubclass) {
   EXPECT_EQ(ancestors.size(), 2u);
   OidSet descendants = graph.Descendants(A("Piston"));
   EXPECT_TRUE(descendants.Contains(A("Turbo")));
+}
+
+// The closure keeps the *minimum* distance over every IS-A path, and
+// follows edge removals below and above a class.
+TEST(ClassGraphTest, ClosureKeepsMinimumDistances) {
+  ClassGraph graph;
+  ASSERT_TRUE(graph.AddSubclass(A("B"), A("A"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("C"), A("B"), 0).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("D"), A("C"), 0).ok());
+  auto distance_of = [&](const char* cls, const char* ancestor) -> int {
+    for (const ClassGraph::Ancestor& a : graph.Closure(A(cls))) {
+      if (a.cls == A(ancestor)) return static_cast<int>(a.distance);
+    }
+    return -1;
+  };
+  EXPECT_EQ(distance_of("D", "A"), 3);
+  ASSERT_TRUE(graph.AddSubclass(A("D"), A("A"), 0).ok());  // a shortcut
+  EXPECT_EQ(distance_of("D", "A"), 1);
+  EXPECT_EQ(distance_of("D", "B"), 2);
+  // An edge added above C reaches D's closure too.
+  ASSERT_TRUE(graph.AddSubclass(A("B"), A("Z"), 0).ok());
+  EXPECT_EQ(distance_of("D", "Z"), 3);
+  EXPECT_EQ(distance_of("C", "Z"), 2);
+  graph.RemoveSubclassEdge(A("D"), A("A"), 0);
+  EXPECT_EQ(distance_of("D", "A"), 3);
+  graph.RemoveClass(A("B"), 0);
+  EXPECT_TRUE(graph.Closure(A("C")).empty());
+  EXPECT_EQ(graph.Closure(A("D")).size(), 1u);  // C alone
+  EXPECT_FALSE(graph.IsStrictSubclass(A("D"), A("A")));
+  EXPECT_TRUE(graph.IsStrictSubclass(A("D"), A("C")));
+  EXPECT_EQ(graph.Ancestors(A("D")), OidSet({A("C")}));
 }
 
 TEST(ClassGraphTest, RejectsCycles) {
@@ -225,6 +260,130 @@ TEST(DatabaseTest, DefaultAttributeInheritanceFromClassObjects) {
   ASSERT_TRUE(db.SetScalar(A("Employee"), A("Badge"), Oid::Int(7)).ok());
   ASSERT_TRUE(db.SetScalar(A("Person"), A("Badge"), Oid::Int(9)).ok());
   EXPECT_EQ(db.GetAttribute(A("john"), A("Badge"))->scalar(), Oid::Int(7));
+}
+
+// Under multiple inheritance the nearest class-objects storing a
+// default win; among incomparable nearest ones, the smallest class oid.
+TEST(DatabaseTest, DefaultUnderMultipleInheritanceTieGoesToSmallestOid) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person")).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Student"), {A("Person")}).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Employee"), {A("Person")}).ok());
+  ASSERT_TRUE(
+      db.DeclareClass(A("Workstudy"), {A("Student"), A("Employee")}).ok());
+  ASSERT_TRUE(db.NewObject(A("ws"), {A("Workstudy")}).ok());
+  ASSERT_TRUE(db.NewObject(A("both"), {A("Student"), A("Employee")}).ok());
+  EXPECT_EQ(db.GetAttribute(A("ws"), A("Desk")), nullptr);
+  ASSERT_TRUE(db.SetScalar(A("Person"), A("Desk"), Oid::Int(1)).ok());
+  EXPECT_EQ(db.GetAttribute(A("ws"), A("Desk"))->scalar(), Oid::Int(1));
+  ASSERT_TRUE(db.SetScalar(A("Student"), A("Desk"), Oid::Int(2)).ok());
+  ASSERT_TRUE(db.SetScalar(A("Employee"), A("Desk"), Oid::Int(3)).ok());
+  EXPECT_EQ(db.default_counts().at(A("Desk")), 3u);
+  // Employee and Student are both at distance 1 (resp. 0 for `both`):
+  // Employee < Student.
+  EXPECT_EQ(db.GetAttribute(A("ws"), A("Desk"))->scalar(), Oid::Int(3));
+  EXPECT_EQ(db.GetAttribute(A("both"), A("Desk"))->scalar(), Oid::Int(3));
+  ASSERT_TRUE(db.ClearAttribute(A("Employee"), A("Desk")).ok());
+  EXPECT_EQ(db.GetAttribute(A("ws"), A("Desk"))->scalar(), Oid::Int(2));
+  ASSERT_TRUE(db.SetScalar(A("Workstudy"), A("Desk"), Oid::Int(4)).ok());
+  EXPECT_EQ(db.GetAttribute(A("ws"), A("Desk"))->scalar(), Oid::Int(4));
+  // `both` is no Workstudy: that default is not on its paths.
+  EXPECT_EQ(db.GetAttribute(A("both"), A("Desk"))->scalar(), Oid::Int(2));
+  EXPECT_EQ(db.default_counts().at(A("Desk")), 3u);
+  EXPECT_TRUE(DispatchMatchesWalk(db));
+  EXPECT_TRUE(DomainMatchesRecompute(db));
+}
+
+// A method defined on two incomparable nearest classes is a [MEY88]
+// conflict until the schema resolves it; a nearer definition overrides
+// both, and a farther one never takes part.
+TEST(DatabaseTest, MethodConflictUnderMultipleInheritance) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person")).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Student"), {A("Person")}).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Employee"), {A("Person")}).ok());
+  ASSERT_TRUE(
+      db.DeclareClass(A("Workstudy"), {A("Student"), A("Employee")}).ok());
+  for (const char* cls : {"Person", "Student", "Employee"}) {
+    ASSERT_TRUE(db.DefineMethod(A(cls), A("id"), 0,
+                                std::make_shared<CountBody>(cls))
+                    .ok());
+  }
+  EXPECT_EQ(db.methods().DefinitionsOf(A("id")).size(), 3u);
+  EXPECT_TRUE(db.methods().DefinitionsOf(A("Age")).empty());
+  auto resolve = [&](const char* cls) {
+    return db.methods().Resolve(db.graph(), {A(cls)}, A("id"), 0);
+  };
+  auto conflict = resolve("Workstudy");
+  ASSERT_FALSE(conflict.ok());
+  EXPECT_EQ(conflict.status().code(), StatusCode::kRuntimeError);
+  EXPECT_NE(conflict.status().message().find("{Employee, Student}"),
+            std::string::npos)
+      << conflict.status().ToString();
+  EXPECT_EQ(resolve("Student")->defining_class, A("Student"));
+  // Wrong arity: nothing visible.
+  EXPECT_EQ(db.methods().Resolve(db.graph(), {A("Workstudy")}, A("id"), 1)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(
+      db.ResolveMethodConflict(A("Workstudy"), A("id"), A("Employee")).ok());
+  EXPECT_EQ(resolve("Workstudy")->defining_class, A("Employee"));
+  ASSERT_TRUE(db.DefineMethod(A("Workstudy"), A("id"), 0,
+                              std::make_shared<CountBody>("ws"))
+                  .ok());
+  EXPECT_EQ(resolve("Workstudy")->body->kind(), "ws");
+  EXPECT_EQ(db.methods().DefinitionsOf(A("id")).size(), 4u);
+  EXPECT_TRUE(DispatchMatchesWalk(db));
+}
+
+// A statement that declares a class and adds an IS-A edge after a fork
+// rolls back to the pre-statement closures, default counts and
+// definitions; the fork never sees any of it.
+TEST(DatabaseTest, RollbackOfSubclassAndDeclareAfterForkRestoresDispatch) {
+  Database db;
+  ASSERT_TRUE(db.DeclareClass(A("Person")).ok());
+  ASSERT_TRUE(db.DeclareClass(A("Employee"), {A("Person")}).ok());
+  ASSERT_TRUE(db.SetScalar(A("Person"), A("Legs"), Oid::Int(2)).ok());
+  ASSERT_TRUE(db.NewObject(A("john"), {A("Employee")}).ok());
+  const OidSet employee_before = db.graph().Ancestors(A("Employee"));
+  std::unique_ptr<Database> fork = db.Fork();
+  db.BeginNewEpoch();
+
+  UndoLog log;
+  db.BeginUndo(&log);
+  ASSERT_TRUE(db.DeclareClass(A("Manager"), {A("Employee")}).ok());
+  ASSERT_TRUE(db.AddSubclass(A("Employee"), A("Taxpayer")).ok());
+  ASSERT_TRUE(db.SetScalar(A("Taxpayer"), A("Legs"), Oid::Int(3)).ok());
+  ASSERT_TRUE(db.SetScalar(A("Manager"), A("Badge"), Oid::Int(7)).ok());
+  ASSERT_TRUE(db.DefineMethod(A("Taxpayer"), A("rate"), 0,
+                              std::make_shared<CountBody>("t"))
+                  .ok());
+  db.EndUndo();
+  EXPECT_TRUE(db.graph().IsStrictSubclass(A("Manager"), A("Taxpayer")));
+  EXPECT_TRUE(db.graph().IsStrictSubclass(A("Employee"), A("Taxpayer")));
+  // Person and Taxpayer are both direct superclasses of Employee: the
+  // smaller oid, Person, wins.
+  EXPECT_EQ(db.GetAttribute(A("john"), A("Legs"))->scalar(), Oid::Int(2));
+  EXPECT_EQ(db.default_counts().at(A("Legs")), 2u);
+  EXPECT_TRUE(DispatchMatchesWalk(db));
+  EXPECT_FALSE(fork->graph().IsClass(A("Manager")));
+  EXPECT_FALSE(fork->graph().IsStrictSubclass(A("Employee"), A("Taxpayer")));
+  EXPECT_EQ(fork->default_counts().at(A("Legs")), 1u);
+  EXPECT_TRUE(fork->methods().DefinitionsOf(A("rate")).empty());
+  EXPECT_TRUE(DispatchMatchesWalk(*fork));
+
+  db.Rollback(&log);
+  EXPECT_FALSE(db.graph().IsClass(A("Manager")));
+  EXPECT_FALSE(db.graph().IsClass(A("Taxpayer")));
+  EXPECT_EQ(db.graph().Ancestors(A("Employee")), employee_before);
+  EXPECT_EQ(db.default_counts().at(A("Legs")), 1u);
+  EXPECT_FALSE(db.default_counts().contains(A("Badge")));
+  EXPECT_TRUE(db.methods().DefinitionsOf(A("rate")).empty());
+  EXPECT_EQ(db.GetAttribute(A("john"), A("Legs"))->scalar(), Oid::Int(2));
+  EXPECT_TRUE(DispatchMatchesWalk(db));
+  EXPECT_TRUE(DomainMatchesRecompute(db));
+  EXPECT_TRUE(DispatchMatchesWalk(*fork));
 }
 
 TEST(DatabaseTest, ExtentOfLiteralClassesUsesActiveDomain) {
