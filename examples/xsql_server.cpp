@@ -7,8 +7,8 @@
 //
 // Replication (docs/SERVER.md "Replication"):
 //
-//   $ ./xsql_server --dir /tmp/replica --port 7789 \
-//         --replicate-from 127.0.0.1:7788     # start as a replica
+//   # start as a replica:
+//   $ ./xsql_server --dir /tmp/replica --port 7789 --replicate-from 127.0.0.1:7788
 //   $ ./xsql_server --promote 7789            # make it the new primary
 //
 // Connect with ./xsql_client or anything speaking the wire protocol.

@@ -3,8 +3,7 @@
 //
 //   $ ./xsql_shell [scale]
 //   xsql> SELECT C WHERE mary123.Residence.City[C]
-//   xsql> .explain SELECT X FROM Vehicle X WHERE X.Manufacturer[M] \
-//                  and M.President.OwnedVehicles[X]
+//   xsql> .explain SELECT X FROM Vehicle X WHERE X.Manufacturer[M] and M.President.OwnedVehicles[X]
 //   xsql> .schema
 //   xsql> .quit
 #include <cstdio>

@@ -534,7 +534,7 @@ class ConjunctDriver {
                                [&] { return cond->path.ToString(); });
           // Reverse evaluation via the [BERT89] path index: bind the
           // head variable to each object reaching the terminal value.
-          PathEvaluator pe(*ev_->db(), ev_, PathEvalOptions{ev_->ctx_});
+          PathEvaluator pe(*ev_->db(), ev_, PathEvalOptions{ev_->ctx_, nullptr});
           const IdTerm& sel = *cond->path.steps.back().selector;
           XSQL_ASSIGN_OR_RETURN(Oid value, pe.EvalIdTerm(sel, *binding));
           const EvalOptions::PartitionRestriction* part =
@@ -844,7 +844,7 @@ class ConjunctDriver {
         });
         return st;
       }
-      PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_});
+      PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_, nullptr});
       XSQL_ASSIGN_OR_RETURN(Oid obj, pe.EvalIdTerm(target, *binding));
       return test(obj);
     };
@@ -857,7 +857,7 @@ class ConjunctDriver {
       }
       return Status::OK();
     }
-    PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_});
+    PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_, nullptr});
     XSQL_ASSIGN_OR_RETURN(Oid method, pe.EvalIdTerm(method_term, *binding));
     return with_object(method);
   }
@@ -874,7 +874,7 @@ class ConjunctDriver {
         }
         return Status::OK();
       }
-      PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_});
+      PathEvaluator pe(db, ev_, PathEvalOptions{ev_->ctx_, nullptr});
       XSQL_ASSIGN_OR_RETURN(Oid value, pe.EvalIdTerm(term, *binding));
       return body(value);
     };
@@ -994,18 +994,25 @@ Result<OidSet> Evaluator::Invoke(const Oid& receiver, const Oid& method,
   return Status::RuntimeError("unknown method body kind: " + body->kind());
 }
 
-OidSet Evaluator::MethodsOn(const Oid& receiver, size_t arity) {
-  std::vector<Oid> out;
+Status Evaluator::ForEachMethodOn(
+    const Oid& receiver, size_t arity,
+    const std::function<Status(const Oid&)>& fn) {
+  // The names are gathered before `fn` runs: a method it invokes may
+  // write (a view materialized mid-walk) and move the attribute list.
+  std::vector<Oid> names;
+  bool merged = false;  // a second source was appended: sort and dedupe
   if (arity == 0) {
     if (const Object* obj = db_->GetObject(receiver)) {
-      for (const auto& [attr, value] : obj->attrs()) out.push_back(attr);
+      names.reserve(obj->attrs().size());
+      for (const auto& [attr, value] : obj->attrs()) names.push_back(attr);
     }
     // Inherited defaults, when any class-object stores an attribute.
     if (!db_->default_counts().empty()) {
       for (const Oid& cls : db_->AllClassesOf(receiver)) {
         if (const Object* class_obj = db_->GetObject(cls)) {
           for (const auto& [attr, value] : class_obj->attrs()) {
-            out.push_back(attr);
+            names.push_back(attr);
+            merged = true;
           }
         }
       }
@@ -1015,10 +1022,16 @@ OidSet Evaluator::MethodsOn(const Oid& receiver, size_t arity) {
       [&](const Oid& method, const MethodRegistry::Def& def) {
         if (def.arity == static_cast<int>(arity) &&
             db_->IsInstanceOf(receiver, def.cls)) {
-          out.push_back(method);
+          names.push_back(method);
+          merged = true;
         }
       });
-  return OidSet(std::move(out));
+  if (merged) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+  }
+  for (const Oid& name : names) XSQL_RETURN_IF_ERROR(fn(name));
+  return Status::OK();
 }
 
 Result<Oid> Evaluator::ResolveIdFunction(const std::string& fn,

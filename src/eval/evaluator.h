@@ -213,7 +213,8 @@ class Evaluator : public MethodInvoker {
   // --- MethodInvoker ---
   Result<OidSet> Invoke(const Oid& receiver, const Oid& method,
                         const std::vector<Oid>& args) override;
-  OidSet MethodsOn(const Oid& receiver, size_t arity) override;
+  Status ForEachMethodOn(const Oid& receiver, size_t arity,
+                         const std::function<Status(const Oid&)>& fn) override;
   Result<Oid> ResolveIdFunction(const std::string& fn,
                                 const std::vector<Oid>& args) override;
 

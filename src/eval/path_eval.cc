@@ -154,11 +154,11 @@ Status PathEvaluator::Walk(const PathExpr& path, size_t step_index,
   if (step.method.name_is_var) {
     const Variable& mvar = step.method.name_var;
     if (binding->Bound(mvar)) return invoke_and_continue(binding->Get(mvar));
-    for (const Oid& method : invoker_->MethodsOn(obj, args.size())) {
-      BindScope scope(binding, mvar, method);
-      XSQL_RETURN_IF_ERROR(invoke_and_continue(method));
-    }
-    return Status::OK();
+    return invoker_->ForEachMethodOn(
+        obj, args.size(), [&](const Oid& method) -> Status {
+          BindScope scope(binding, mvar, method);
+          return invoke_and_continue(method);
+        });
   }
   return invoke_and_continue(step.method.name);
 }
@@ -181,7 +181,7 @@ Status PathEvaluator::WalkPathVar(const PathExpr& path, size_t step_index,
   // The length cap is a language-semantics policy (a path variable
   // matches sequences up to this length), so truncation is silent.
   if (depth >= ctx_->limits().max_path_var_len) return Status::OK();
-  for (const Oid& attr : invoker_->MethodsOn(obj, 0)) {
+  return invoker_->ForEachMethodOn(obj, 0, [&](const Oid& attr) -> Status {
     XSQL_ASSIGN_OR_RETURN(OidSet values, invoker_->Invoke(obj, attr, {}));
     for (const Oid& next : values) {
       seq->push_back(attr);
@@ -189,8 +189,8 @@ Status PathEvaluator::WalkPathVar(const PathExpr& path, size_t step_index,
       seq->pop_back();
       XSQL_RETURN_IF_ERROR(st);
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status PathEvaluator::Continue(const PathExpr& path, size_t step_index,

@@ -29,10 +29,13 @@ class MethodInvoker {
   virtual Result<OidSet> Invoke(const Oid& receiver, const Oid& method,
                                 const std::vector<Oid>& args) = 0;
 
-  /// The method-name objects a method variable may take in the scope of
-  /// `receiver` for the given arity: attributes with defined values
-  /// (local or inherited defaults) and resolvable method definitions.
-  virtual OidSet MethodsOn(const Oid& receiver, size_t arity) = 0;
+  /// Calls `fn` on each method-name object a method variable may take in
+  /// the scope of `receiver` for the given arity — attributes with
+  /// defined values (local or inherited defaults) and resolvable method
+  /// definitions — once each, in oid order. Stops at the first error.
+  virtual Status ForEachMethodOn(
+      const Oid& receiver, size_t arity,
+      const std::function<Status(const Oid&)>& fn) = 0;
 
   /// Resolves an id-function application `fn(args...)` to an oid
   /// (§4.2). For view names this materializes the view first.

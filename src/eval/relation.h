@@ -1,8 +1,8 @@
 #ifndef XSQL_EVAL_RELATION_H_
 #define XSQL_EVAL_RELATION_H_
 
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -44,8 +44,17 @@ class Relation {
 
  private:
   std::vector<std::string> columns_;
+  struct RowHash {
+    size_t operator()(const std::vector<Oid>& row) const {
+      size_t h = row.size();
+      for (const Oid& oid : row) h = HashCombine(h, oid.Hash());
+      return h;
+    }
+  };
+
   std::vector<std::vector<Oid>> rows_;
-  std::set<std::vector<Oid>> index_;
+  /// Deduplicates only; `rows_` keeps the output order.
+  std::unordered_set<std::vector<Oid>, RowHash> index_;
 };
 
 }  // namespace xsql

@@ -393,12 +393,6 @@ void Database::Rollback(UndoLog* log) {
   Touch();
 }
 
-const Object* Database::GetObject(const Oid& oid) const {
-  const ObjectShard& shard = *objects_[ShardIndexOf(oid)];
-  auto it = shard.objects.find(oid);
-  return it == shard.objects.end() ? nullptr : &it->second;
-}
-
 const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
   if (const Object* o = GetObject(obj)) {
     if (const AttrValue* v = o->Get(attr)) return v;

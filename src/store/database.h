@@ -170,10 +170,16 @@ class Database {
   // ---- Lookup -------------------------------------------------------
 
   bool HasObject(const Oid& oid) const {
-    const ObjectShard& shard = *objects_[ShardIndexOf(oid)];
-    return shard.objects.contains(oid);
+    const size_t hash = oid.Hash();
+    return objects_[hash % kObjectShards]->objects.contains(
+        HashedOid{oid, hash});
   }
-  const Object* GetObject(const Oid& oid) const;
+  const Object* GetObject(const Oid& oid) const {
+    const size_t hash = oid.Hash();
+    const ObjectShard& shard = *objects_[hash % kObjectShards];
+    auto it = shard.objects.find(HashedOid{oid, hash});
+    return it == shard.objects.end() ? nullptr : &it->second;
+  }
 
   /// The value of `attr` on `obj`, applying default-value inheritance
   /// from class-objects (nearest class wins; among incomparable nearest
@@ -265,8 +271,29 @@ class Database {
       return sizeof(Memberships) + pairs.size() * sizeof(pairs[0]);
     }
   };
+  /// An oid with its hash, so a lookup hashes once: the shard index and
+  /// the shard's map both read it.
+  struct HashedOid {
+    const Oid& oid;
+    size_t hash;
+  };
+  struct ShardHash {
+    using is_transparent = void;
+    size_t operator()(const Oid& oid) const { return oid.Hash(); }
+    size_t operator()(const HashedOid& key) const { return key.hash; }
+  };
+  struct ShardEq {
+    using is_transparent = void;
+    bool operator()(const Oid& a, const Oid& b) const { return a == b; }
+    bool operator()(const HashedOid& key, const Oid& oid) const {
+      return key.oid == oid;
+    }
+    bool operator()(const Oid& oid, const HashedOid& key) const {
+      return key.oid == oid;
+    }
+  };
   struct ObjectShard {
-    std::unordered_map<Oid, Object, OidHash> objects;
+    std::unordered_map<Oid, Object, ShardHash, ShardEq> objects;
     std::shared_ptr<Memberships> memberships = std::make_shared<Memberships>();
     uint64_t epoch = 0;
     size_t ApproxBytes() const {
@@ -276,7 +303,7 @@ class Database {
   };
 
   static size_t ShardIndexOf(const Oid& oid) {
-    return OidHash{}(oid) % kObjectShards;
+    return oid.Hash() % kObjectShards;
   }
 
   struct ForkTag {};

@@ -1,20 +1,29 @@
 #include "store/object.h"
 
+#include <algorithm>
+
 namespace xsql {
 
+AttrValue& Object::Slot(const Oid& attr) {
+  const size_t i = IndexOf(attr);
+  if (i < attrs_.size()) return attrs_[i].second;
+  auto pos = std::lower_bound(
+      attrs_.begin(), attrs_.end(), attr,
+      [](const auto& entry, const Oid& key) { return entry.first < key; });
+  return attrs_.emplace(pos, attr, AttrValue())->second;
+}
+
 Status Object::AddToSet(const Oid& attr, const Oid& value) {
-  auto it = attrs_.find(attr);
-  if (it == attrs_.end()) {
-    OidSet s;
-    s.Insert(value);
-    attrs_.emplace(attr, AttrValue::Set(std::move(s)));
+  const size_t i = IndexOf(attr);
+  if (i == attrs_.size()) {
+    Slot(attr) = AttrValue::Set(OidSet({value}));
     return Status::OK();
   }
-  if (!it->second.set_valued()) {
+  if (!attrs_[i].second.set_valued()) {
     return Status::InvalidArgument("attribute " + attr.ToString() + " of " +
                                    id_.ToString() + " is scalar");
   }
-  it->second.mutable_set().Insert(value);
+  attrs_[i].second.mutable_set().Insert(value);
   return Status::OK();
 }
 

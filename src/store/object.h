@@ -1,9 +1,10 @@
 #ifndef XSQL_STORE_OBJECT_H_
 #define XSQL_STORE_OBJECT_H_
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "oid/oid.h"
@@ -74,12 +75,12 @@ class Object {
 
   /// Sets attribute `attr` to the scalar `value`.
   void SetScalar(const Oid& attr, Oid value) {
-    attrs_[attr] = AttrValue::Scalar(std::move(value));
+    Slot(attr) = AttrValue::Scalar(std::move(value));
   }
 
   /// Sets attribute `attr` to the set `values`.
   void SetSet(const Oid& attr, OidSet values) {
-    attrs_[attr] = AttrValue::Set(std::move(values));
+    Slot(attr) = AttrValue::Set(std::move(values));
   }
 
   /// Adds one element to a set-valued attribute (created if missing).
@@ -87,23 +88,40 @@ class Object {
   Status AddToSet(const Oid& attr, const Oid& value);
 
   /// The stored value of `attr`, or nullptr when undefined *on this
-  /// object* (inheritance of defaults is the Database's job).
+  /// object* (inheritance of defaults is the Database's job). A scan by
+  /// oid equality: an object has a handful of attributes, and equality
+  /// never reads their text.
   const AttrValue* Get(const Oid& attr) const {
-    auto it = attrs_.find(attr);
-    return it == attrs_.end() ? nullptr : &it->second;
+    const size_t i = IndexOf(attr);
+    return i == attrs_.size() ? nullptr : &attrs_[i].second;
   }
 
   /// Removes the attribute entirely (making it undefined here).
-  void Remove(const Oid& attr) { attrs_.erase(attr); }
+  void Remove(const Oid& attr) {
+    const size_t i = IndexOf(attr);
+    if (i < attrs_.size()) attrs_.erase(attrs_.begin() + i);
+  }
 
   /// All locally-defined attributes, sorted by attribute oid.
-  const std::map<Oid, AttrValue>& attrs() const { return attrs_; }
+  const std::vector<std::pair<Oid, AttrValue>>& attrs() const {
+    return attrs_;
+  }
 
   std::string ToString() const;
 
  private:
+  /// Position of `attr` in `attrs_`, or `attrs_.size()` when absent.
+  size_t IndexOf(const Oid& attr) const {
+    size_t i = 0;
+    while (i < attrs_.size() && !(attrs_[i].first == attr)) ++i;
+    return i;
+  }
+  /// The value slot of `attr`, inserted (empty) at its sorted position
+  /// when missing.
+  AttrValue& Slot(const Oid& attr);
+
   Oid id_;
-  std::map<Oid, AttrValue> attrs_;
+  std::vector<std::pair<Oid, AttrValue>> attrs_;
 };
 
 }  // namespace xsql

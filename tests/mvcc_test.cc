@@ -484,7 +484,9 @@ TEST_F(MvccTest, SupersededVersionsFreedAtLastPinRelease) {
     EXPECT_LE(VersionChain::live_versions(), base + 1)
         << "version chain grew without bound at commit " << i;
     // The pinned snapshot still reads its original state.
-    if (i % 25 == 0) EXPECT_EQ(SaveSnapshot(*pin->db), pinned_state);
+    if (i % 25 == 0) {
+      EXPECT_EQ(SaveSnapshot(*pin->db), pinned_state);
+    }
   }
 
   // Release the last pin: the superseded version is freed on the spot.

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "common/crc32.h"
 #include "domain_oracle.h"
 #include "eval/session.h"
 #include "storage/file.h"
@@ -399,6 +400,23 @@ TEST_F(SnapshotTest, EmptyDatabaseRoundTrips) {
   EXPECT_TRUE(DomainMatchesRecompute(restored));
   EXPECT_TRUE(DispatchMatchesWalk(restored));
   EXPECT_TRUE(InstancesMatchExtents(restored));
+}
+
+// A checkpoint writes SaveSnapshot's bytes. Oids are process-local
+// (interned pointers) but snapshots carry text in canonical order, so
+// the scale-16 Figure-1 checkpoint must not move by a byte when the
+// in-memory representation changes. The constants were taken from the
+// representation before interning (56-byte oids holding shared
+// strings); a new value here means checkpoints changed format.
+TEST(SnapshotBytesTest, Fig1Scale16CheckpointIsByteIdentical) {
+  Database db;
+  ASSERT_TRUE(workload::BuildFig1Schema(&db).ok());
+  ASSERT_TRUE(
+      workload::GenerateFig1Data(&db, workload::WorkloadParams{}.Scaled(16))
+          .ok());
+  const std::string checkpoint = storage::SaveSnapshot(db);
+  EXPECT_EQ(checkpoint.size(), 1150319u);
+  EXPECT_EQ(Crc32(checkpoint), 0xA2AEC0A1u);
 }
 
 }  // namespace
