@@ -67,12 +67,11 @@ run_suite() {
   # shares the process-global fault injector.
   echo "==> mvcc suite ($dir)"
   ctest --test-dir "$dir" -L mvcc --output-on-failure
-  # The batch/parallel execution suite again, serially and by label:
-  # the differential matrix (naive == planner-off == planned serial ==
-  # parallel across seeds and worker counts) is the correctness gate for
-  # the one FROM driver, and the suite owns worker pools + asserts on
-  # global metrics deltas, so it runs without test-level parallelism in
-  # the mix.
+  # The batch execution suite again, serially and by label: the
+  # differential matrix (naive == planner-off == planned across seeds)
+  # is the correctness gate for the one FROM driver, and the suite
+  # asserts on global metrics deltas, so it runs without test-level
+  # parallelism in the mix.
   echo "==> exec suite ($dir)"
   ctest --test-dir "$dir" -L exec --output-on-failure
   # Dump the metrics of a representative workload as a build artifact
@@ -120,6 +119,31 @@ server_smoke() {
     echo "xsql_client exit-code check failed: bad statement exited 0" >&2
     rc=1
   fi
+  # A malformed or out-of-range numeric flag prints the usage and exits
+  # 1 before anything starts: `--port abc` must not serve on an
+  # ephemeral port, and a negative count must not wrap to a huge one.
+  # The client runs without --execute on an empty stdin, where a flag it
+  # accepted would end the REPL with exit 0. $flags is left unquoted: it
+  # holds a flag and its value.
+  local flags code
+  for flags in "--port abc" "--deadline-ms -5" "--checkpoint-every -1"; do
+    code=0
+    timeout 10 "./$dir/examples/xsql_server" --dir "$dbdir/bad" $flags \
+      > /dev/null 2>&1 || code=$?
+    if [[ "$code" != 1 ]]; then
+      echo "xsql_server flag check failed: $flags exited $code" >&2
+      rc=1
+    fi
+  done
+  for flags in "--port abc" "--retries -1"; do
+    code=0
+    timeout 10 "./$dir/examples/xsql_client" $flags < /dev/null \
+      > /dev/null 2>&1 || code=$?
+    if [[ "$code" != 1 ]]; then
+      echo "xsql_client flag check failed: $flags exited $code" >&2
+      rc=1
+    fi
+  done
   kill -INT "$server_pid" 2>/dev/null || true
   wait "$server_pid" || rc=1
   if "./$dir/examples/xsql_client" --port "$port" --retries 0 \
@@ -143,9 +167,9 @@ if [[ "$MODE" != "--sanitize-only" && "$MODE" != "--tsan-only" ]]; then
   echo "==> perfbench build"
   cmake -S perfbench -B build/perfbench
   cmake --build build/perfbench -j "$JOBS"
-  # B16 as a machine-readable artifact (build/BENCH_exec.json): serial
-  # vs parallel batch execution on the near-quadratic join workloads,
-  # plus the `=all` hash joins, diffable across commits. Bounded
+  # B16 as a machine-readable artifact (build/BENCH_exec.json): batch
+  # execution on the near-quadratic join workloads, plus the `=all`
+  # hash joins, diffable across commits. Bounded
   # min-time keeps it a smoke measurement; EXPERIMENTS.md records the
   # full runs.
   echo "==> exec benchmark artifact (build/BENCH_exec.json)"
@@ -202,10 +226,9 @@ if [[ "$MODE" != "--plain-only" && "$MODE" != "--sanitize-only" ]]; then
   XSQL_CHAOS_SEEDS="${XSQL_CHAOS_SEEDS:-4}" \
   XSQL_FUZZ_ITERS="${XSQL_FUZZ_ITERS:-40}" \
     ctest --test-dir build-tsan -L chaos --output-on-failure
-  # The batch/parallel execution suite under TSan: worker threads
-  # evaluating against a pinned snapshot while sharing the deadline/
-  # budget/cancel state is new racy surface; the differential matrix
-  # plus the cancellation and guardrail tests run it hard.
+  # The batch execution suite under TSan: it drives a
+  # ConcurrencyManager snapshot read and the guardrails, and the
+  # differential matrix runs the planner and the batch kernel hard.
   echo "==> TSan exec suite"
   ctest --test-dir build-tsan -L exec --output-on-failure
 fi

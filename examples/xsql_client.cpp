@@ -17,6 +17,8 @@
 //
 // With --execute "<stmt>" it runs one statement non-interactively and
 // exits (used by ci.sh for the localhost smoke test).
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -31,6 +33,21 @@ void Usage(const char* argv0) {
                "usage: %s [--host H] [--port N] [--timeout-ms N] "
                "[--retries N] [--execute <stmt>]\n",
                argv0);
+}
+
+/// Parses `text` as a base-10 integer in [lo, hi] into `*out`. False
+/// (and `*out` untouched) unless the whole string is one such number.
+bool ParseInt(const char* text, long long lo, long long hi, int* out) {
+  if (text == nullptr) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
 }
 
 }  // namespace
@@ -50,17 +67,17 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]), 1;
       options.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.port = std::atoi(v);
+      if (!ParseInt(next(), 1, 65535, &options.port)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.timeout_ms = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.timeout_ms)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.max_retries = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.max_retries)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--execute" || arg == "-e") {
       const char* v = next();
       if (!v) return Usage(argv[0]), 1;

@@ -14,6 +14,8 @@
 // Connect with ./xsql_client or anything speaking the wire protocol.
 // Every mutation is group-committed to the WAL before its reply frame
 // is sent; concurrent readers run latch-free on MVCC snapshots.
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +43,23 @@ void Usage(const char* argv0) {
                "[--retain N]\n"
                "       %s --promote PORT\n",
                argv0, argv0);
+}
+
+/// Parses `text` as a base-10 integer in [lo, hi] into `*out`. False
+/// (and `*out` untouched) unless the whole string is one such number,
+/// so `--port abc` or `--deadline-ms -5` never starts a server.
+template <typename T>
+bool ParseInt(const char* text, long long lo, long long hi, T* out) {
+  if (text == nullptr) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
 
 void WaitForSignal() {
@@ -81,6 +100,8 @@ int Promote(int port) {
 int main(int argc, char** argv) {
   std::string dir;
   std::string replicate_from;
+  std::string replicate_host;
+  int replicate_port = 0;
   int promote_port = 0;
   int retain = 0;
   bool sync_repl = false;
@@ -96,53 +117,59 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]), 1;
       dir = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.port = std::atoi(v);
+      if (!ParseInt(next(), 0, 65535, &options.port)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--max-connections") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.max_connections = std::atoi(v);
+      if (!ParseInt(next(), 1, INT_MAX, &options.max_connections)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--checkpoint-every") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.checkpoint_every =
-          static_cast<uint64_t>(std::atoll(v));
+      if (!ParseInt(next(), 0, INT_MAX, &options.checkpoint_every)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.session.limits.deadline_ms =
-          static_cast<uint64_t>(std::atoll(v));
+      if (!ParseInt(next(), 0, INT_MAX,
+                    &options.session.limits.deadline_ms)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--max-inflight") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.max_inflight_statements = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.max_inflight_statements)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.idle_timeout_ms = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.idle_timeout_ms)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--io-timeout-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.io_timeout_ms = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.io_timeout_ms)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--retry-after-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      options.retry_after_hint_ms = std::atoi(v);
+      if (!ParseInt(next(), 0, INT_MAX, &options.retry_after_hint_ms)) {
+        return Usage(argv[0]), 1;
+      }
     } else if (arg == "--replicate-from") {
       const char* v = next();
       if (!v) return Usage(argv[0]), 1;
       replicate_from = v;
+      const size_t colon = replicate_from.rfind(':');
+      if (colon == std::string::npos ||
+          !ParseInt(replicate_from.c_str() + colon + 1, 1, 65535,
+                    &replicate_port)) {
+        std::fprintf(stderr, "--replicate-from wants HOST:PORT, got %s\n",
+                     v);
+        return Usage(argv[0]), 1;
+      }
+      replicate_host = replicate_from.substr(0, colon);
     } else if (arg == "--sync-repl") {
       sync_repl = true;
     } else if (arg == "--retain") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      retain = std::atoi(v);
+      if (!ParseInt(next(), 1, INT_MAX, &retain)) return Usage(argv[0]), 1;
     } else if (arg == "--promote") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]), 1;
-      promote_port = std::atoi(v);
+      if (!ParseInt(next(), 1, 65535, &promote_port)) {
+        return Usage(argv[0]), 1;
+      }
     } else {
       Usage(argv[0]);
       return 1;
@@ -157,16 +184,10 @@ int main(int argc, char** argv) {
   if (!replicate_from.empty()) {
     // Replica mode: subscribe to the primary, serve reads, accept a
     // later --promote.
-    const size_t colon = replicate_from.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "--replicate-from wants HOST:PORT, got %s\n",
-                   replicate_from.c_str());
-      return 1;
-    }
     xsql::server::ReplicaOptions ropts;
     ropts.dir = dir;
-    ropts.primary_host = replicate_from.substr(0, colon);
-    ropts.primary_port = std::atoi(replicate_from.c_str() + colon + 1);
+    ropts.primary_host = replicate_host;
+    ropts.primary_port = replicate_port;
     ropts.server = options;
     if (retain > 0) ropts.durable.retain_generations = retain;
     auto node = xsql::server::ReplicaNode::Start(std::move(ropts));

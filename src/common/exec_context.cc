@@ -27,14 +27,6 @@ ExecutionContext::ExecutionContext(const ExecLimits& limits,
   }
 }
 
-ExecutionContext::ExecutionContext(const ExecutionContext& parent,
-                                   std::shared_ptr<SharedBudget> budget)
-    : limits_(parent.limits_),
-      cancel_(parent.cancel_),
-      deadline_(parent.deadline_),
-      has_deadline_(parent.has_deadline_),
-      shared_(std::move(budget)) {}
-
 Status ExecutionContext::CheckDeadlineAndCancel() {
   if (cancel_ && cancel_->cancelled()) {
     NoteGuardTrip();
@@ -55,14 +47,7 @@ Status ExecutionContext::Step() {
     XSQL_RETURN_IF_ERROR(fi.Check(FaultInjector::Domain::kGuard, "step"));
   }
   ++steps_;
-  // Budget checks run against the statement-wide pool when this is a
-  // worker's child context: N workers trip at the same total one
-  // thread would.
-  const uint64_t charged =
-      shared_ != nullptr
-          ? shared_->steps.fetch_add(1, std::memory_order_relaxed) + 1
-          : steps_;
-  if (limits_.max_steps != 0 && charged > limits_.max_steps) {
+  if (limits_.max_steps != 0 && steps_ > limits_.max_steps) {
     NoteGuardTrip();
     return Status::ResourceExhausted(
         "step budget of " + std::to_string(limits_.max_steps) +
@@ -93,11 +78,7 @@ Status ExecutionContext::ChargeRow() {
     XSQL_RETURN_IF_ERROR(fi.Check(FaultInjector::Domain::kGuard, "row"));
   }
   ++rows_;
-  const uint64_t charged =
-      shared_ != nullptr
-          ? shared_->rows.fetch_add(1, std::memory_order_relaxed) + 1
-          : rows_;
-  if (limits_.max_rows != 0 && charged > limits_.max_rows) {
+  if (limits_.max_rows != 0 && rows_ > limits_.max_rows) {
     NoteGuardTrip();
     return Status::ResourceExhausted(
         "row budget of " + std::to_string(limits_.max_rows) +

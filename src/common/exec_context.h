@@ -47,15 +47,6 @@ struct ExecLimits {
   uint64_t max_path_var_len = 3;
 };
 
-/// The step/row pool a statement's parallel workers charge against.
-/// One statement = one budget, no matter how many threads evaluate it:
-/// the totals (and therefore where the budget guards trip) are the same
-/// serial and parallel.
-struct SharedBudget {
-  std::atomic<uint64_t> steps{0};
-  std::atomic<uint64_t> rows{0};
-};
-
 /// Execution guardrails threaded through the whole evaluation stack
 /// (Evaluator, PathEvaluator, FLogic model checker, view expansion,
 /// introspection). One context is armed per statement; every guard that
@@ -69,12 +60,6 @@ struct SharedBudget {
 /// is read only every 16 steps. Code that has no caller-supplied
 /// context uses `Unlimited()` (per-thread, no budgets, default depth
 /// policy) so call sites never branch on null.
-///
-/// Parallel workers use the *child* constructor: the child shares the
-/// parent's cancel token, absolute deadline (the countdown is not
-/// restarted), and a SharedBudget pool, so N workers splitting a scan
-/// trip the same budgets at the same totals as one thread would.
-/// Recursion depth stays per-context — each worker has its own stack.
 class ExecutionContext {
  public:
   /// No budgets, default depth policy.
@@ -83,14 +68,6 @@ class ExecutionContext {
   /// Arms `limits`; the deadline countdown starts now.
   explicit ExecutionContext(const ExecLimits& limits,
                             std::shared_ptr<CancelToken> cancel = nullptr);
-
-  /// A worker's child context: same limits and cancel token as
-  /// `parent`, the parent's (absolute) deadline, and budgets charged
-  /// against `budget` instead of the local counters. The caller seeds
-  /// `budget` with the parent's spent steps/rows before fan-out and
-  /// absorbs the totals back after the join (AbsorbShared).
-  ExecutionContext(const ExecutionContext& parent,
-                   std::shared_ptr<SharedBudget> budget);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -114,14 +91,6 @@ class ExecutionContext {
   uint64_t rows() const { return rows_; }
   uint64_t recursion_depth() const { return depth_; }
 
-  /// Folds a drained SharedBudget's totals back into this (parent)
-  /// context after the workers joined, so spans and EXPLAIN ANALYZE
-  /// report the statement's full cost.
-  void AbsorbShared(const SharedBudget& budget) {
-    steps_ = budget.steps.load(std::memory_order_relaxed);
-    rows_ = budget.rows.load(std::memory_order_relaxed);
-  }
-
   /// The per-thread "no limits" context — the default for evaluators
   /// constructed without an explicit context (tests, internal referees).
   static ExecutionContext* Unlimited();
@@ -136,10 +105,6 @@ class ExecutionContext {
   uint64_t steps_ = 0;
   uint64_t rows_ = 0;
   uint64_t depth_ = 0;
-  /// Non-null in a worker's child context: budgets are charged against
-  /// the pool (relaxed atomics), while steps_/rows_ keep the local
-  /// counts (deadline-poll cadence, per-worker metrics).
-  std::shared_ptr<SharedBudget> shared_;
 };
 
 /// RAII recursion guard: checks the depth policy on construction and

@@ -1,4 +1,4 @@
-#include "eval/parallel.h"
+#include "eval/batch.h"
 
 #include <algorithm>
 
@@ -8,77 +8,6 @@
 #include "store/object.h"
 
 namespace xsql {
-
-WorkerPool::WorkerPool(size_t threads) {
-  threads_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { Loop(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::Run(size_t tasks, const std::function<void(size_t)>& fn) {
-  if (tasks == 0) return;
-  // No pool threads, a single task, or the pool already busy with
-  // another statement's fan-out: the caller runs everything inline.
-  if (threads_.empty() || tasks == 1 || !run_mu_.try_lock()) {
-    for (size_t i = 0; i < tasks; ++i) fn(i);
-    return;
-  }
-  std::lock_guard<std::mutex> run_guard(run_mu_, std::adopt_lock);
-
-  auto job = std::make_shared<Job>();
-  job->tasks = tasks;
-  job->fn = &fn;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = job;
-    ++seq_;
-  }
-  work_cv_.notify_all();
-
-  // The caller is a worker too: claim tasks until none remain, then
-  // wait for the stragglers the pool threads are still running.
-  Drain(job.get());
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return job->completed == job->tasks; });
-  job_ = nullptr;
-}
-
-void WorkerPool::Drain(Job* job) {
-  for (;;) {
-    const size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job->tasks) return;
-    (*job->fn)(i);
-    std::lock_guard<std::mutex> lk(mu_);
-    if (++job->completed == job->tasks) done_cv_.notify_all();
-  }
-}
-
-void WorkerPool::Loop() {
-  uint64_t last_seen = 0;
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || seq_ != last_seen; });
-      if (stop_) return;
-      last_seen = seq_;
-      job = job_;
-    }
-    // job_ may already be cleared if the fan-out finished before this
-    // worker woke; there is simply nothing left to claim.
-    if (job != nullptr) Drain(job.get());
-  }
-}
 
 namespace {
 

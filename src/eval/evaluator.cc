@@ -7,9 +7,9 @@
 #include <unordered_map>
 
 #include "eval/aggregate.h"
+#include "eval/batch.h"
 #include "eval/comparator.h"
 #include "eval/oid_function.h"
-#include "eval/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/catalog.h"
@@ -96,11 +96,10 @@ const PathExpr* FirstOpenPath(const ValueExpr& expr, const Binding& binding) {
 }
 
 /// The FROM candidates of `var` over class `cls`, in extent order: the
-/// extent minus the oids Theorem 6.1(2) range pruning rules out, cut to
-/// a parallel worker's partition when it restricts `var`. Charges one
-/// step per oid examined, so long scans still poll the deadline and the
-/// cancel token. Every FROM scan (generator, hash-join sides, the
-/// parallel outer split) builds its candidates here.
+/// extent minus the oids Theorem 6.1(2) range pruning rules out.
+/// Charges one step per oid examined, so long scans still poll the
+/// deadline and the cancel token. Every FROM scan (generator and
+/// hash-join sides) builds its candidates here.
 Result<std::vector<Oid>> FromCandidates(const Database& db,
                                         ExecutionContext* ctx,
                                         const EvalOptions& opts,
@@ -110,22 +109,12 @@ Result<std::vector<Oid>> FromCandidates(const Database& db,
     auto it = opts.ranges->find(var);
     if (it != opts.ranges->end()) range = &it->second;
   }
-  // A parallel worker scans only its slice. The slice was cut from the
-  // planned entry's extent; the same variable may be FROM-declared under
-  // another class too, so membership in `cls` is re-checked.
-  const bool sliced = opts.partition != nullptr && opts.partition->var == var;
   std::vector<Oid> out;
-  auto scan = [&](const auto& oids) -> Status {
-    for (const Oid& oid : oids) {
-      XSQL_RETURN_IF_ERROR(ctx->Step());
-      if (sliced && !db.IsInstanceOf(oid, cls)) continue;
-      if (range != nullptr && !range->Within(db, oid)) continue;
-      out.push_back(oid);
-    }
-    return Status::OK();
-  };
-  XSQL_RETURN_IF_ERROR(sliced ? scan(*opts.partition->ordered)
-                              : scan(db.Extent(cls)));
+  for (const Oid& oid : db.Extent(cls)) {
+    XSQL_RETURN_IF_ERROR(ctx->Step());
+    if (range != nullptr && !range->Within(db, oid)) continue;
+    out.push_back(oid);
+  }
   return out;
 }
 
@@ -395,18 +384,12 @@ class ConjunctDriver {
   }
 
   /// A FROM entry over an already-bound variable: the §3.4 consistency
-  /// check that its value is an instance of `cls`. A parallel worker
-  /// also accepts only its own slice here: some other generator (a path
-  /// enumeration, an index probe, a meta-class loop) may have bound the
-  /// variable first, and this filter is what confines those solutions
-  /// to the partition.
+  /// check that its value is an instance of `cls`.
   Status EvalFromEntry(const FromEntry& entry, const Oid& cls,
                        Binding* binding, const std::function<Status()>& next) {
     obs::Span span("from", [&] { return entry.ToString(); });
     const Oid& value = binding->Get(entry.var);
     if (!ev_->db()->IsInstanceOf(value, cls)) return Status::OK();
-    const EvalOptions::PartitionRestriction* part = PartitionFor(entry.var);
-    if (part != nullptr && !part->set->Contains(value)) return Status::OK();
     span.AddRows(1);
     return next();
   }
@@ -537,10 +520,7 @@ class ConjunctDriver {
           PathEvaluator pe(*ev_->db(), ev_, PathEvalOptions{ev_->ctx_, nullptr});
           const IdTerm& sel = *cond->path.steps.back().selector;
           XSQL_ASSIGN_OR_RETURN(Oid value, pe.EvalIdTerm(sel, *binding));
-          const EvalOptions::PartitionRestriction* part =
-              PartitionFor(cond->path.head.var);
           for (const Oid& head : index->Lookup(value)) {
-            if (part != nullptr && !part->set->Contains(head)) continue;
             BindScope scope(binding, cond->path.head.var, head);
             index_span.AddRows(1);
             XSQL_RETURN_IF_ERROR(next());
@@ -583,13 +563,6 @@ class ConjunctDriver {
       }
     }
     return Status::RuntimeError("unexpected condition kind");
-  }
-
-  /// The parallel worker's partition when it restricts `var`, or null.
-  const EvalOptions::PartitionRestriction* PartitionFor(
-      const Variable& var) const {
-    if (opts_ == nullptr || opts_->partition == nullptr) return nullptr;
-    return opts_->partition->var == var ? opts_->partition : nullptr;
   }
 
   /// True when every variable of `cond` is either bound or `var` — i.e.
@@ -732,9 +705,6 @@ class ConjunctDriver {
         obs::MetricsRegistry::Global().GetCounter("xsql.plan.hash_joins");
     joins.Inc();
     obs::Span span("plan/hash-join", [&] { return cond->ToString(); });
-    // The join consumes both FROM entries outright, so the candidates
-    // carry a parallel worker's partition — no later membership filter
-    // will see these bindings.
     auto candidates = [&](const FromEntry& entry) {
       return FromCandidates(*ev_->db(), ev_->ctx_, *opts_, entry.cls.value,
                             entry.var);
@@ -912,32 +882,22 @@ PathEvaluator Evaluator::MakePathEvaluator(const EvalOptions& opts) {
   const RangeMap* ranges =
       (opts.use_range_pruning && opts.ranges != nullptr) ? opts.ranges
                                                          : nullptr;
-  const EvalOptions::PartitionRestriction* partition = opts.partition;
-  if (ranges != nullptr || partition != nullptr) {
+  if (ranges != nullptr) {
     // Theorem 6.1(2): restrict instantiations of each v-selector X to
     // oids within A(X). Candidates are materialized once per variable
     // and shared — the no-range fallback's active domain too — instead
-    // of being copied per probe. A parallel worker's partitioned
-    // variable is further confined to its slice — every generator must
-    // be, or the worker would produce solutions outside its partition.
+    // of being copied per probe.
     Database* db = db_;
     auto cache =
         std::make_shared<std::map<Variable, std::shared_ptr<const OidSet>>>();
     peo.var_domain =
-        [ranges, db, cache, partition](
+        [ranges, db, cache](
             const Variable& var) -> std::shared_ptr<const OidSet> {
-      if (partition != nullptr && var == partition->var) {
-        // Non-owning alias: the restriction outlives the statement.
-        return std::shared_ptr<const OidSet>(std::shared_ptr<const OidSet>(),
-                                             partition->set);
-      }
       auto cached = cache->find(var);
       if (cached != cache->end()) return cached->second;
       const VarRange* range = nullptr;
-      if (ranges != nullptr) {
-        auto it = ranges->find(var);
-        if (it != ranges->end()) range = &it->second;
-      }
+      auto it = ranges->find(var);
+      if (it != ranges->end()) range = &it->second;
       std::shared_ptr<const OidSet> candidates;
       if (range == nullptr) {
         candidates = std::make_shared<OidSet>(db->ActiveDomain().ToOidSet());
@@ -1109,136 +1069,13 @@ Result<EvalOutput> Evaluator::Run(const Query& query, const EvalOptions& opts,
   queries.Inc();
   obs::Span span("eval/query", [&] { return query.ToString(); });
   const uint64_t steps_before = ctx_->steps();
-  Result<EvalOutput> out = [&]() -> Result<EvalOutput> {
-    Result<EvalOutput> parallel = Status::RuntimeError("parallel: unset");
-    if (TryRunParallel(query, opts, outer, &parallel)) return parallel;
-    return RunImpl(query, opts, outer);
-  }();
+  Result<EvalOutput> out = RunImpl(query, opts, outer);
   span.AddSteps(ctx_->steps() - steps_before);
   if (out.ok()) {
     span.AddRows(out->relation.size());
     rows.Inc(out->relation.size());
   }
   return out;
-}
-
-bool Evaluator::TryRunParallel(const Query& query, const EvalOptions& opts,
-                               const Binding* outer, Result<EvalOutput>* out) {
-  if (opts.pool == nullptr || opts.max_workers < 2 ||
-      opts.partition != nullptr || !opts.conjunct_order.empty()) {
-    return false;
-  }
-  const QueryPlan* plan = opts.plan;
-  if (plan == nullptr || !plan->allow_reorder || !plan->parallel_eligible ||
-      plan->from_order.size() != query.from.size() ||
-      plan->parallel_from >= query.from.size()) {
-    return false;
-  }
-  {
-    // The plan must actually apply to this query (the same shape check
-    // the conjunct driver performs); a mismatched plan means serial
-    // greedy evaluation, never a partitioned run against wrong ranks.
-    std::vector<const Condition*> conjuncts;
-    if (query.where != nullptr) FlattenAnd(*query.where, &conjuncts);
-    if (plan->conjunct_rank.size() != conjuncts.size() ||
-        plan->hash_joinable.size() != conjuncts.size()) {
-      return false;
-    }
-  }
-  if (query.oid_function_of.has_value()) return false;
-  const FromEntry& entry = query.from[plan->parallel_from];
-  if (!entry.cls.is_const()) return false;
-  if (outer != nullptr && outer->Bound(entry.var)) return false;
-
-  Result<std::vector<Oid>> built =
-      FromCandidates(*db_, ctx_, opts, entry.cls.value, entry.var);
-  if (!built.ok()) {
-    *out = built.status();
-    return true;
-  }
-  const std::vector<Oid>& candidates = *built;
-  const size_t min_per = std::max<size_t>(1, opts.min_parallel_candidates);
-  const size_t partitions =
-      std::min<size_t>(opts.max_workers, candidates.size() / min_per);
-  if (partitions < 2) return false;
-
-  static obs::Counter& parallel_queries =
-      obs::MetricsRegistry::Global().GetCounter("xsql.exec.parallel_queries");
-  static obs::Counter& partitions_total =
-      obs::MetricsRegistry::Global().GetCounter("xsql.exec.partitions");
-  static obs::Histogram& fanout =
-      obs::MetricsRegistry::Global().GetHistogram("xsql.exec.parallel_workers");
-  parallel_queries.Inc();
-  partitions_total.Inc(partitions);
-  fanout.Observe(partitions);
-  obs::Span span("exec/parallel", [&] {
-    return entry.var.ToString() + " x" + std::to_string(partitions);
-  });
-
-  // Contiguous slices in extent order: worker p owns candidates
-  // [p*chunk, (p+1)*chunk) — merging in partition order reproduces the
-  // serial enumeration order of the outer extent.
-  std::vector<std::vector<Oid>> slices(partitions);
-  std::vector<OidSet> slice_sets(partitions);
-  const size_t chunk = (candidates.size() + partitions - 1) / partitions;
-  for (size_t p = 0; p < partitions; ++p) {
-    const size_t lo = std::min(candidates.size(), p * chunk);
-    const size_t hi = std::min(candidates.size(), lo + chunk);
-    slices[p].assign(candidates.begin() + lo, candidates.begin() + hi);
-    slice_sets[p] = OidSet(slices[p]);
-  }
-
-  // One statement = one budget: seed the shared pool with what the
-  // statement already spent, absorb the totals back after the join.
-  auto budget = std::make_shared<SharedBudget>();
-  budget->steps.store(ctx_->steps(), std::memory_order_relaxed);
-  budget->rows.store(ctx_->rows(), std::memory_order_relaxed);
-
-  std::vector<Status> statuses(partitions, Status::OK());
-  std::vector<EvalOutput> outputs(partitions);
-  opts.pool->Run(partitions, [&](size_t p) {
-    ExecutionContext child(*ctx_, budget);
-    Evaluator worker(db_, views_, &child);
-    EvalOptions wopts = opts;
-    wopts.pool = nullptr;
-    wopts.max_workers = 0;
-    EvalOptions::PartitionRestriction part;
-    part.var = entry.var;
-    part.ordered = &slices[p];
-    part.set = &slice_sets[p];
-    wopts.partition = &part;
-    Result<EvalOutput> r = worker.RunImpl(query, wopts, outer);
-    if (r.ok()) {
-      outputs[p] = std::move(r).value();
-    } else {
-      statuses[p] = r.status();
-    }
-  });
-  ctx_->AbsorbShared(*budget);
-
-  // Deterministic error semantics: the lowest-indexed failing partition
-  // wins — the same error a serial scan (which walks partitions in
-  // order) would have surfaced first.
-  for (size_t p = 0; p < partitions; ++p) {
-    if (!statuses[p].ok()) {
-      *out = statuses[p];
-      return true;
-    }
-  }
-  EvalOutput merged;
-  merged.relation = Relation(outputs[0].relation.columns());
-  for (size_t p = 0; p < partitions; ++p) {
-    for (const auto& row : outputs[p].relation.rows()) {
-      Status st = merged.relation.AddRow(row);
-      if (!st.ok()) {
-        *out = st;
-        return true;
-      }
-    }
-  }
-  span.AddRows(merged.relation.size());
-  *out = std::move(merged);
-  return true;
 }
 
 Result<EvalOutput> Evaluator::RunImpl(const Query& query,

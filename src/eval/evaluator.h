@@ -21,8 +21,6 @@
 
 namespace xsql {
 
-class WorkerPool;
-
 /// A method implemented by a native C++ function.
 class NativeMethodBody : public MethodBody {
  public:
@@ -120,32 +118,6 @@ struct EvalOptions {
   /// ground conjuncts per-batch over a selection vector. Must outlive
   /// the evaluation.
   const QueryPlan* plan = nullptr;
-
-  /// Restriction of one variable to a contiguous slice of its extent —
-  /// how a parallel worker is confined to its partition. Enforced at
-  /// every generator that can bind or test the variable (FROM
-  /// iteration, FROM membership, path-enumeration domains, index
-  /// lookups, hash joins), so a worker produces exactly the solutions
-  /// whose `var` value lies in its slice no matter which generator
-  /// binds the variable first.
-  struct PartitionRestriction {
-    Variable var;
-    /// The slice in extent (sorted) order — what FROM iterates.
-    const std::vector<Oid>* ordered = nullptr;
-    /// The same oids as a set, for membership / domain tests.
-    const OidSet* set = nullptr;
-  };
-  const PartitionRestriction* partition = nullptr;
-
-  /// Worker pool for parallel-eligible plans (null: serial). Owned by
-  /// the ConcurrencyManager — never by a Session, so per-statement
-  /// throwaway readers cost no thread spawns.
-  WorkerPool* pool = nullptr;
-  /// Upper bound on partitions per statement (<2 disables fan-out).
-  size_t max_workers = 0;
-  /// Minimum outer candidates per partition: a P-way fan-out needs at
-  /// least P * this many, so small extents never pay fork/join costs.
-  size_t min_parallel_candidates = 64;
 };
 
 /// The result of running one query.
@@ -227,15 +199,6 @@ class Evaluator : public MethodInvoker {
   /// eval metrics around it.
   Result<EvalOutput> RunImpl(const Query& query, const EvalOptions& opts,
                              const Binding* outer);
-
-  /// Attempts partitioned parallel evaluation: materializes the plan's
-  /// outer extent, splits it into contiguous slices, evaluates each
-  /// slice on the worker pool against this (pinned) database, and
-  /// merges the partial relations in partition order. Returns true
-  /// (with *out set) when the query ran that way; false when any gate
-  /// failed and the caller should evaluate serially.
-  bool TryRunParallel(const Query& query, const EvalOptions& opts,
-                      const Binding* outer, Result<EvalOutput>* out);
 
   PathEvaluator MakePathEvaluator(const EvalOptions& opts);
 

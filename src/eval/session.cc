@@ -219,14 +219,6 @@ Result<EvalOutput> Session::ExecuteStatement(const PreparedPlan& prepared,
       EvalOptions opts;
       opts.use_range_pruning = options_.use_range_pruning;
       opts.indexes = options_.indexes;
-      if (options_.worker_pool != nullptr && options_.exec_workers >= 2) {
-        // Arming is safe on any statement: only plans the planner proved
-        // pure (parallel_eligible) pass the fan-out gate, and pure
-        // statements mutate nothing the workers could race on.
-        opts.pool = options_.worker_pool;
-        opts.max_workers = options_.exec_workers;
-        opts.min_parallel_candidates = options_.exec_min_parallel_candidates;
-      }
       if (stmt.query->kind == QueryExpr::Kind::kSimple) {
         // PrepareStatement type-checks and plans every simple query.
         const TypingResult& typing = prepared.typing;

@@ -62,19 +62,6 @@ struct SessionOptions {
   /// outlive the session; null means no indexes. Stale indexes are
   /// ignored, never incorrect.
   const PathIndexSet* indexes = nullptr;
-  /// Worker pool for intra-query parallelism; null keeps every
-  /// statement serial. Owned by the server's ConcurrencyManager (or a
-  /// test harness) — NEVER by the session, so the per-statement
-  /// throwaway readers the snapshot path constructs cost no thread
-  /// spawns. Must outlive the session. Only plans proven pure
-  /// (QueryPlan::parallel_eligible) ever fan out.
-  WorkerPool* worker_pool = nullptr;
-  /// Upper bound on partitions one statement fans out to (<2 disables
-  /// fan-out even with a pool).
-  size_t exec_workers = 0;
-  /// Minimum outer-extent candidates per partition: a P-way fan-out
-  /// needs P times this many, so small extents never pay fork/join.
-  size_t exec_min_parallel_candidates = 64;
   /// The status board `SYSTEM STATUS` renders. Null means the process-
   /// global one; a server hosting several nodes in one process (the
   /// failover tests run primary and replica side by side) points each

@@ -140,11 +140,6 @@ StatementMode ClassifyMode(const std::string& text,
 ConcurrencyManager::ConcurrencyManager(storage::DurableDatabase* dd,
                                        Options options)
     : dd_(dd), options_(options), committer_(dd->wal()) {
-  if (options_.exec_workers >= 2) {
-    // The calling statement thread participates in its own fan-out, so
-    // a P-way fan-out needs P-1 pool threads.
-    pool_ = std::make_unique<WorkerPool>(options_.exec_workers - 1);
-  }
   // Install the recovered state as version 1: readers have a snapshot
   // to pin before the first commit.
   chain_.Install(ForkVersionLocked());
@@ -152,13 +147,6 @@ ConcurrencyManager::ConcurrencyManager(storage::DurableDatabase* dd,
 }
 
 Result<uint64_t> ConcurrencyManager::CreateSession(SessionOptions options) {
-  if (pool_ != nullptr) {
-    // Every session shares the manager's pool. The per-statement
-    // throwaway snapshot readers copy these knobs via session->options()
-    // (see ExecuteInternal), so latch-free reads parallelize too.
-    options.worker_pool = pool_.get();
-    options.exec_workers = options_.exec_workers;
-  }
   const ExecLimits limits = options.limits;
   const std::shared_ptr<CancelToken> cancel = options.cancel;
   // Exclusive: the Session constructor probes (and on the very first

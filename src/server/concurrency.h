@@ -12,7 +12,6 @@
 
 #include "common/exec_context.h"
 #include "common/status.h"
-#include "eval/parallel.h"
 #include "eval/session.h"
 #include "storage/recovery.h"
 #include "storage/version.h"
@@ -146,13 +145,6 @@ class ConcurrencyManager {
     /// Status board to publish generation / WAL / dedup / MVCC positions
     /// on (null = don't publish).
     obs::StatusRegistry* status = nullptr;
-    /// Intra-query parallelism: max partitions one pure read statement
-    /// fans out to (see QueryPlan::parallel_eligible). <2 keeps every
-    /// statement serial and spawns no pool. The manager owns ONE pool
-    /// shared by all sessions — per-statement throwaway snapshot
-    /// readers borrow it, so the latch-free read path never pays a
-    /// thread spawn.
-    size_t exec_workers = 0;
   };
 
   ConcurrencyManager(storage::DurableDatabase* dd, Options options);
@@ -252,13 +244,6 @@ class ConcurrencyManager {
 
   storage::DurableDatabase* dd_;
   Options options_;
-  /// Worker pool for intra-query parallelism (null when
-  /// options_.exec_workers < 2). Owned here — never by a Session — and
-  /// handed to every session this manager creates. Workers only ever
-  /// run planner-proven-pure plans against pinned snapshots, so the
-  /// pool is safe to share across concurrent reader statements: a busy
-  /// pool makes the next statement run serial inline, never queue.
-  std::unique_ptr<WorkerPool> pool_;
   storage::GroupCommitter committer_;
   StatementLatch latch_;
   storage::VersionChain chain_;

@@ -120,8 +120,8 @@ std::string CardToString(size_t card) {
 /// *could* write (id-function applications materialize views, defined
 /// methods can run query bodies with UPDATE clauses, method/path
 /// variables can reach such methods, OID FUNCTION mints objects) makes
-/// the query impure, so the batch path's candidate caching and the
-/// parallel workers only ever see an immutable database.
+/// the query impure, so the batch path's candidate caching only ever
+/// sees an immutable database.
 class PurityScan {
  public:
   explicit PurityScan(const Database& db) : db_(db) {}
@@ -370,22 +370,8 @@ QueryPlan Planner::Plan(const Query& query, const RangeMap* ranges) const {
     plan.decisions.push_back(order);
   }
 
-  // Batch / parallel eligibility: only pure queries may cache candidate
-  // arrays or split an extent across workers; the partitioned entry is
-  // the first constant-class entry in the enumeration order.
+  // Batch eligibility: only pure queries may cache candidate arrays.
   plan.batch_eligible = PurityScan(db_).Pure(query);
-  if (plan.batch_eligible) {
-    for (size_t idx : plan.from_order) {
-      if (query.from[idx].cls.is_const()) {
-        plan.parallel_eligible = true;
-        plan.parallel_from = idx;
-        plan.decisions.push_back(
-            "parallel eligible: outer " + query.from[idx].var.ToString() +
-            "(" + CardToString(plan.from_card[idx]) + ")");
-        break;
-      }
-    }
-  }
   return plan;
 }
 

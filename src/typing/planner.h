@@ -45,12 +45,6 @@ struct QueryPlan {
   /// impure ones rebuild the arrays on every re-entry, because a
   /// conjunct could mutate the extents mid-statement.
   bool batch_eligible = false;
-  /// batch_eligible AND the outermost planned FROM entry is a constant
-  /// class whose extent can be partitioned across workers.
-  bool parallel_eligible = false;
-  /// FROM-entry index (declaration order) to partition when
-  /// parallel_eligible: the first constant-class entry in from_order.
-  size_t parallel_from = 0;
   /// Human-readable decisions for EXPLAIN / EXPLAIN ANALYZE.
   std::vector<std::string> decisions;
 };

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "eval/batch.h"
 #include "eval/comparator.h"
 #include "eval/evaluator.h"
-#include "eval/parallel.h"
 #include "oid/oid.h"
 #include "parser/parser.h"
 #include "store/database.h"
@@ -167,7 +167,7 @@ TEST(EvalComparisonTest, UnquantifiedSidesStillRequireSingletons) {
 // ------------------------------------------------- batch filter kernel
 //
 // FilterBatch is the production batch-mode prefilter (see
-// eval/parallel.h): the claim it must uphold is bit-for-bit agreement
+// eval/batch.h): the claim it must uphold is bit-for-bit agreement
 // with per-tuple TestCondition. These tests drive BOTH through the NaN
 // and mixed-operand cases above — a divergence here is a wrong answer
 // in batch mode that the ordinary comparator tests would never see.

@@ -1,16 +1,14 @@
-// Batch-at-a-time + parallel execution (experiment id B16): the
-// differential matrix proving the one FROM driver is answer-identical
-// to the naive §3.4 reference with the planner off, planned serial
-// (pure plans batch), and partitioned parallel, across seeds and
-// worker counts — including impure statements, whose FROM arrays are
+// Batch-at-a-time execution (experiment id B16): the differential
+// matrix proving the one FROM driver is answer-identical to the naive
+// §3.4 reference with the planner off and planned (pure plans batch),
+// across seeds — including impure statements, whose FROM arrays are
 // rebuilt on every re-entry; the exact step charge of the DESIGN.md §7
-// rule; guardrail semantics under fan-out (cancellation reaches
-// workers, the row budget trips identically serial vs parallel); the
+// rule; the row budget's exact boundary through the batch driver; the
 // satellite regressions (shared active-domain snapshot instead of a
 // per-probe copy; index-generation staleness in the plan cache); and
-// the server wiring (ConcurrencyManager-owned pool, snapshot readers
-// fan out). Runs serially (ctest label: exec) — the suite owns its
-// worker pools and reads global metrics deltas.
+// the server wiring (a ConcurrencyManager snapshot read answers as a
+// plain Session does). Runs serially (ctest label: exec) — the suite
+// reads global metrics deltas.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -24,7 +22,6 @@
 
 #include "common/rng.h"
 #include "eval/evaluator.h"
-#include "eval/parallel.h"
 #include "eval/session.h"
 #include "obs/metrics.h"
 #include "parser/parser.h"
@@ -63,7 +60,8 @@ void BuildTinyDb(Database* db, uint64_t seed) {
   ASSERT_TRUE(workload::GenerateFig1Data(db, params).ok());
 }
 
-/// Bigger instance for tests that need real fan-out (no naive run).
+/// Bigger instance for tests that need more than a handful of
+/// candidates per extent (no naive run).
 void BuildMediumDb(Database* db, uint64_t seed) {
   ASSERT_TRUE(workload::BuildFig1Schema(db).ok());
   workload::WorkloadParams params;
@@ -76,8 +74,8 @@ void BuildMediumDb(Database* db, uint64_t seed) {
   ASSERT_TRUE(workload::GenerateFig1Data(db, params).ok());
 }
 
-/// The join templates the batch kernel and the partitioned path must
-/// preserve (same shapes the planner differential pins down).
+/// The join templates the batch kernel and the hash join must preserve
+/// (same shapes the planner differential pins down).
 const char* kJoinTemplates[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =some Y.Salary",
     "SELECT X, Y FROM Employee X, Person Y WHERE X.Name =some Y.Name "
@@ -148,8 +146,7 @@ const char* kImpureTemplates[] = {
 /// one exists) and runs it under `opts` extras; with `use_planner` off
 /// the driver gets no plan (the greedy ready-first schedule).
 Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
-                              bool use_planner, WorkerPool* pool,
-                              size_t workers,
+                              bool use_planner,
                               ExecutionContext* ctx = nullptr) {
   auto stmt = ParseAndResolve(text, *db);
   if (!stmt.ok()) return stmt.status();
@@ -162,24 +159,19 @@ Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
   EvalOptions opts;
   if (use_planner) opts.plan = &plan;
   if (typing.well_typed && typing.in_fragment) opts.ranges = &typing.ranges;
-  opts.pool = pool;
-  opts.max_workers = workers;
-  // Tiny extents must still fan out or the parallel path is untested.
-  opts.min_parallel_candidates = 1;
   Evaluator evaluator(db, nullptr, ctx);
   return evaluator.Run(q, opts);
 }
 
 /// The differential matrix for one query: naive §3.4 reference ==
-/// planner off == planned serial == planned parallel at every worker
-/// count. The naive evaluator does not enumerate path variables; for
-/// those queries the planner-off run is the reference.
+/// planner off == planned. The naive evaluator does not enumerate path
+/// variables; for those queries the planner-off run is the reference.
 void ExpectAllModesEqual(Database* db, const std::string& text) {
   auto stmt = ParseAndResolve(text, *db);
   ASSERT_TRUE(stmt.ok()) << text;
   ASSERT_EQ(stmt->kind, Statement::Kind::kQuery);
 
-  auto unplanned = RunPlanned(db, text, /*use_planner=*/false, nullptr, 0);
+  auto unplanned = RunPlanned(db, text, /*use_planner=*/false);
   ASSERT_TRUE(unplanned.ok()) << text << "\n"
                               << unplanned.status().ToString();
   const auto expected = Rows(unplanned->relation);
@@ -191,19 +183,9 @@ void ExpectAllModesEqual(Database* db, const std::string& text) {
     EXPECT_EQ(Rows(naive->relation), expected) << "naive: " << text;
   }
 
-  auto serial = RunPlanned(db, text, /*use_planner=*/true, nullptr, 0);
+  auto serial = RunPlanned(db, text, /*use_planner=*/true);
   ASSERT_TRUE(serial.ok()) << text << "\n" << serial.status().ToString();
-  EXPECT_EQ(Rows(serial->relation), expected) << "planned serial: " << text;
-
-  for (size_t workers : {size_t{2}, size_t{4}}) {
-    WorkerPool pool(workers - 1);  // the caller participates
-    auto parallel =
-        RunPlanned(db, text, /*use_planner=*/true, &pool, workers);
-    ASSERT_TRUE(parallel.ok())
-        << text << "\n" << parallel.status().ToString();
-    EXPECT_EQ(Rows(parallel->relation), expected)
-        << "parallel x" << workers << ": " << text;
-  }
+  EXPECT_EQ(Rows(serial->relation), expected) << "planned: " << text;
 }
 
 class ExecDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -235,7 +217,7 @@ TEST_P(ExecDifferentialTest, AllModesEqualOnImpureTemplates) {
     Planner planner(db, nullptr);
     EXPECT_FALSE(planner.Plan(*stmt->query->simple, nullptr).batch_eligible)
         << text;
-    auto out = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+    auto out = RunPlanned(&db, text, /*use_planner=*/true);
     ASSERT_TRUE(out.ok()) << text << "\n" << out.status().ToString();
     EXPECT_GT(out->relation.size(), 0u) << text;
     ExpectAllModesEqual(&db, text);
@@ -270,7 +252,7 @@ TEST(HashJoinTest, SignedNaNTerminalValuesJoinAsOneValue) {
               std::vector<bool>{true})
         << text;
     ExpectAllModesEqual(&db, text);
-    auto planned = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+    auto planned = RunPlanned(&db, text, /*use_planner=*/true);
     ASSERT_TRUE(planned.ok()) << text;
     EXPECT_EQ(Rows(planned->relation).count({first, second}), 1u) << text;
     EXPECT_EQ(Rows(planned->relation).count({second, first}), 1u) << text;
@@ -313,7 +295,7 @@ TEST(OneDriverTest, ImpureConjunctGrowsInnerExtentMidStatement) {
   for (bool use_planner : {false, true}) {
     Database db;
     build(&db);
-    auto out = RunPlanned(&db, text, use_planner, nullptr, 0);
+    auto out = RunPlanned(&db, text, use_planner);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(Rows(out->relation), expected) << "planner=" << use_planner;
   }
@@ -376,38 +358,7 @@ TEST(OneDriverTest, StepChargeFollowsTheRule) {
   EXPECT_EQ(StepsOf(&db, text, nullptr), 40u);
 }
 
-// ------------------------------------------------ parallel machinery
-
-TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
-  WorkerPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  for (auto& h : hits) h.store(0);
-  pool.Run(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPoolTest, ZeroThreadsRunsInline) {
-  WorkerPool pool(0);
-  std::vector<int> hits(10, 0);  // inline: no synchronization needed
-  pool.Run(hits.size(), [&](size_t i) { hits[i] = 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelExecTest, FanOutActuallyHappens) {
-  Database db;
-  BuildMediumDb(&db, 7);
-  const uint64_t queries_before = CounterValue("xsql.exec.parallel_queries");
-  const uint64_t parts_before = CounterValue("xsql.exec.partitions");
-  WorkerPool pool(3);
-  auto out = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                        /*use_planner=*/true, &pool, 4);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT(out->relation.size(), 0u);
-  EXPECT_EQ(CounterValue("xsql.exec.parallel_queries"), queries_before + 1);
-  EXPECT_GE(CounterValue("xsql.exec.partitions"), parts_before + 2);
-}
-
-TEST(ParallelExecTest, PlannerMarksEligibilityAndDriverRespectsIt) {
+TEST(OneDriverTest, PlannerMarksBatchEligibility) {
   Database db;
   BuildTinyDb(&db, 3);
   // Pure const-class FROM: eligible.
@@ -418,9 +369,8 @@ TEST(ParallelExecTest, PlannerMarksEligibilityAndDriverRespectsIt) {
     Planner planner(db, nullptr);
     QueryPlan plan = planner.Plan(*stmt->query->simple, nullptr);
     EXPECT_TRUE(plan.batch_eligible);
-    EXPECT_TRUE(plan.parallel_eligible);
   }
-  // UPDATE in the WHERE clause: impure, must stay serial and uncached.
+  // UPDATE in the WHERE clause: impure, its FROM arrays stay uncached.
   {
     auto stmt = ParseAndResolve(
         "SELECT X FROM Employee X WHERE UPDATE X.Salary = 1", db);
@@ -428,39 +378,18 @@ TEST(ParallelExecTest, PlannerMarksEligibilityAndDriverRespectsIt) {
       Planner planner(db, nullptr);
       QueryPlan plan = planner.Plan(*stmt->query->simple, nullptr);
       EXPECT_FALSE(plan.batch_eligible);
-      EXPECT_FALSE(plan.parallel_eligible);
     }
   }
 }
 
-TEST(ParallelExecTest, CancellationReachesWorkersAndPoolSurvives) {
-  Database db;
-  BuildMediumDb(&db, 11);
-  WorkerPool pool(3);
-
-  auto cancel = std::make_shared<CancelToken>();
-  cancel->RequestCancel();  // cancelled before the statement starts
-  ExecutionContext ctx{ExecLimits{}, cancel};
-  auto out = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                        /*use_planner=*/true, &pool, 4, &ctx);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kCancelled)
-      << out.status().ToString();
-
-  // The fan-out must have released its workers: the same pool runs the
-  // next statement to completion.
-  auto again = RunPlanned(&db, "SELECT X FROM Employee X WHERE X.Salary > 0",
-                          /*use_planner=*/true, &pool, 4);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_GT(again->relation.size(), 0u);
-}
-
-TEST(ParallelExecTest, RowBudgetTripsIdenticallySerialAndParallel) {
+TEST(OneDriverTest, RowBudgetTripsExactlyPastTheLastRow) {
+  // The batch driver charges one row per emitted row: a budget of the
+  // answer's size passes, one less trips the row-budget guard.
   Database db;
   BuildMediumDb(&db, 13);
   const std::string text = "SELECT X FROM Employee X WHERE X.Salary > 0";
 
-  auto full = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+  auto full = RunPlanned(&db, text, /*use_planner=*/true);
   ASSERT_TRUE(full.ok());
   const size_t total = full->relation.size();
   ASSERT_GT(total, 4u);
@@ -469,24 +398,14 @@ TEST(ParallelExecTest, RowBudgetTripsIdenticallySerialAndParallel) {
                           static_cast<uint64_t>(total)}) {
     ExecLimits limits;
     limits.max_rows = budget;
-
-    ExecutionContext serial_ctx{limits, nullptr};
-    auto serial =
-        RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0, &serial_ctx);
-
-    WorkerPool pool(3);
-    ExecutionContext parallel_ctx{limits, nullptr};
-    auto parallel =
-        RunPlanned(&db, text, /*use_planner=*/true, &pool, 4, &parallel_ctx);
-
-    // The row budget is charged against one shared pool across the
-    // fan-out, so serial and parallel trip (or pass) identically.
-    EXPECT_EQ(serial.ok(), parallel.ok()) << "budget=" << budget;
-    if (!serial.ok()) {
-      EXPECT_EQ(serial.status().code(), StatusCode::kResourceExhausted);
-      EXPECT_EQ(parallel.status().code(), StatusCode::kResourceExhausted);
+    ExecutionContext ctx{limits, nullptr};
+    auto out = RunPlanned(&db, text, /*use_planner=*/true, &ctx);
+    if (budget < total) {
+      ASSERT_FALSE(out.ok()) << "budget=" << budget;
+      EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
     } else {
-      EXPECT_EQ(Rows(serial->relation), Rows(parallel->relation));
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(Rows(out->relation), Rows(full->relation));
     }
   }
 }
@@ -518,7 +437,7 @@ TEST(DomainSnapshotTest, RangeDomainsMaterializeOncePerStatement) {
   const std::string text =
       "SELECT X, W FROM Company X WHERE X.Divisions.Employees[W]";
   const uint64_t before = CounterValue("xsql.eval.domain_materializations");
-  auto out = RunPlanned(&db, text, /*use_planner=*/true, nullptr, 0);
+  auto out = RunPlanned(&db, text, /*use_planner=*/true);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   const uint64_t delta =
       CounterValue("xsql.eval.domain_materializations") - before;
@@ -560,40 +479,9 @@ TEST(PlanCacheStalenessTest, IndexRebuildInvalidatesCachedPlans) {
   EXPECT_NE(Render("re-warm").find("cache : hit"), std::string::npos);
 }
 
-// --------------------------------------------- session/server wiring
+// ----------------------------------------------------- server wiring
 
-TEST(SessionExecTest, ParallelSessionMatchesSerialSession) {
-  Database db;
-  BuildMediumDb(&db, 21);
-  const std::string text =
-      "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =some Y.Salary";
-
-  Session serial(&db);
-  auto expected = serial.Query(text);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-  WorkerPool pool(3);
-  SessionOptions options;
-  options.worker_pool = &pool;
-  options.exec_workers = 4;
-  options.exec_min_parallel_candidates = 1;
-  Session parallel(&db, options);
-  auto got = parallel.Query(text);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Rows(*got), Rows(*expected));
-}
-
-TEST(SessionExecTest, ExplainSurfacesParallelEligibility) {
-  Database db;
-  BuildTinyDb(&db, 4);
-  Session session(&db);
-  auto report =
-      session.Explain("SELECT X FROM Employee X WHERE X.Salary > 10");
-  ASSERT_TRUE(report.ok());
-  EXPECT_NE(report->find("parallel eligible"), std::string::npos) << *report;
-}
-
-TEST(ServerExecTest, ManagerOwnedPoolServesSnapshotReaders) {
+TEST(ServerExecTest, SnapshotReadMatchesSerialSession) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string dir =
       ::testing::TempDir() + "/xsql_exec_" + info->name();
@@ -606,13 +494,8 @@ TEST(ServerExecTest, ManagerOwnedPoolServesSnapshotReaders) {
   // bypassed; this test never reopens the directory).
   BuildMediumDb(&(*dd)->db(), 17);
 
-  server::ConcurrencyManager::Options options;
-  options.exec_workers = 4;
-  server::ConcurrencyManager manager(dd->get(), options);
-
-  SessionOptions sopts;
-  sopts.exec_min_parallel_candidates = 1;  // tiny extents still fan out
-  auto sid = manager.CreateSession(sopts);
+  server::ConcurrencyManager manager(dd->get());
+  auto sid = manager.CreateSession(SessionOptions{});
   ASSERT_TRUE(sid.ok());
 
   Database reference;
@@ -623,12 +506,10 @@ TEST(ServerExecTest, ManagerOwnedPoolServesSnapshotReaders) {
   ASSERT_TRUE(expected.ok());
   ASSERT_GT(expected->size(), 0u);
 
-  const uint64_t before = CounterValue("xsql.exec.parallel_queries");
+  // The latch-free snapshot-read path answers as the plain session.
   auto read = manager.Execute(*sid, text);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(Rows(read->relation), Rows(*expected));
-  // The latch-free snapshot-read path borrowed the manager's pool.
-  EXPECT_EQ(CounterValue("xsql.exec.parallel_queries"), before + 1);
 
   manager.CloseSession(*sid);
   std::filesystem::remove_all(dir);
